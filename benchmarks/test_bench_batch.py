@@ -1,18 +1,17 @@
-"""E24 — Vectorized batch tier: campaign wall-clock vs translated scalar.
+"""E24 — Vectorized batch tier: campaign wall-clock vs the scalar campaign.
 
 The batch tier (:mod:`repro.isa.batch`) executes a whole fault
 campaign's lanes as columns of one structure-of-arrays machine
-(DESIGN §14).  This benchmark prices it against the best scalar
-configuration the repo had before it — the campaign run with the
-block translator enabled fleet-wide (PR 9, E23) — on the E24 workload:
-the ``swmac`` software-only scenario at E18 campaign shape (200
-faults, seed 7).
+(DESIGN §14).  This benchmark prices it against the scalar campaign —
+every cell a separate ``Cpu`` on the default ``run_block``/``step``
+tiers — on the E24 workload: the ``swmac`` software-only scenario at
+E18 campaign shape (200 faults, seed 7).
 
-* **throughput** — interleaved A/B rounds (scalar-translated campaign,
-  then batch campaign, within each round so scheduler drift hits both
+* **throughput** — interleaved A/B rounds (scalar campaign, then
+  batch campaign, within each round so scheduler drift hits both
   alike), median-of-9 paired speedups with a sign-test ~96% confidence
-  interval — the E17/E22/E23 methodology.  Acceptance bar: **≥5×
-  campaign wall-clock over translated scalar** (``compare_bench.py``
+  interval — the E17/E22 methodology.  Acceptance bar: **≥5×
+  campaign wall-clock over the scalar campaign** (``compare_bench.py``
   enforces an absolute ≥2× floor for noise headroom on slow boxes);
 * **no accuracy regression** — every round asserts the batch campaign
   document is byte-identical to the scalar one; the E24 dependability
@@ -31,7 +30,6 @@ import time
 from pathlib import Path
 
 from repro.fault import SCENARIOS, run_campaign, sample_faults
-from repro.isa.translate import auto_translation
 
 from test_bench_isa import E18_FAULTS, E18_HISTOGRAM, E18_SEED
 
@@ -43,7 +41,7 @@ E24_SEED = 7
 E24_HISTOGRAM = {
     "masked": 64, "sdc": 46, "detected": 16, "hang": 24, "crash": 50,
 }
-SPEEDUP_FLOOR = 5.0     # batch campaign vs translated-scalar campaign
+SPEEDUP_FLOOR = 5.0     # batch campaign vs scalar campaign
 RESULT_FILE = Path(__file__).parent / "BENCH_batch.json"
 
 
@@ -72,28 +70,22 @@ def _sign_test_ci(samples):
 
 
 def measure(rounds=ROUNDS):
-    """Interleaved A/B rounds: translated-scalar campaign, then batch.
-
-    Both sides run under ``auto_translation(True)`` — the scalar side
-    because that *is* the PR 9 baseline, the batch side so its drained
-    lanes finish on the same translated tier.
-    """
+    """Interleaved A/B rounds: scalar campaign, then batch."""
     faults = _faults()
-    with auto_translation(True):
-        # warm both paths (imports, codegen, decode caches)
-        _timed_campaign(faults, batch=False)
-        _timed_campaign(faults, batch=True)
+    # warm both paths (imports, decode caches)
+    _timed_campaign(faults, batch=False)
+    _timed_campaign(faults, batch=True)
 
-        pairs = []
-        reference = None
-        for _ in range(rounds):
-            scalar_s, scalar = _timed_campaign(faults, batch=False)
-            batch_s, batch = _timed_campaign(faults, batch=True)
-            assert batch.to_json() == scalar.to_json(), (
-                "batch campaign document differs from scalar"
-            )
-            pairs.append((scalar_s, batch_s))
-            reference = scalar
+    pairs = []
+    reference = None
+    for _ in range(rounds):
+        scalar_s, scalar = _timed_campaign(faults, batch=False)
+        batch_s, batch = _timed_campaign(faults, batch=True)
+        assert batch.to_json() == scalar.to_json(), (
+            "batch campaign document differs from scalar"
+        )
+        pairs.append((scalar_s, batch_s))
+        reference = scalar
 
     hist = reference.histogram()
     assert hist == E24_HISTOGRAM, (
@@ -131,7 +123,7 @@ def run_bench(rounds=ROUNDS, write=True):
 
     assert record["speedup_vs_scalar"] >= SPEEDUP_FLOOR, (
         f"batch campaign is only {record['speedup_vs_scalar']}x the "
-        f"translated-scalar campaign at the median of {rounds} "
+        f"scalar campaign at the median of {rounds} "
         f"interleaved rounds (floor: {SPEEDUP_FLOOR}x; ~96% CI "
         f"[{record['speedup_ci96'][0]}, {record['speedup_ci96'][1]}])"
     )
@@ -166,8 +158,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"E24 campaign: swmac, {record['faults']} faults, "
           f"{record['rounds']} interleaved rounds")
-    print(f"  translated scalar: {record['scalar_campaign_s']:.3f} s")
-    print(f"  batch tier:        {record['batch_campaign_s']:.3f} s  "
+    print(f"  scalar:     {record['scalar_campaign_s']:.3f} s")
+    print(f"  batch tier: {record['batch_campaign_s']:.3f} s  "
           f"({record['speedup_vs_scalar']}x, ~96% CI "
           f"[{record['speedup_ci96'][0]}, {record['speedup_ci96'][1]}])")
     print(f"model identity: E24 pinned, E18 untouched by the batch flag")

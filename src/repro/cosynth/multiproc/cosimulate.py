@@ -2,15 +2,20 @@
 
 Figure 2 nests co-simulation around co-synthesis for a reason: a
 synthesizer's claimed makespan rests on its scheduler's assumptions.
-This module re-executes a :class:`MultiprocSchedule`'s *mapping* (not
-its timetable) as communicating simulation processes — each processing
-element is a serial resource, each cross-PE edge a message with the
-communication model's latency — and reports what actually happens.
+This module re-executes a :class:`MultiprocSchedule`'s *mapping and
+per-PE task order* (not its timetable) as communicating simulation
+processes — each processing element is a serial resource that runs its
+tasks in the order the synthesizer chose, each cross-PE edge a message
+with the communication model's latency — and reports what actually
+happens.
 
 Because the simulation re-derives task start times from resource
-contention and message arrival rather than trusting the schedule, any
-optimism in the scheduler (lost arbitration detail, impossible overlap)
-shows up as disagreement here.
+occupancy and message arrival rather than trusting the schedule, any
+optimism in the scheduler (impossible overlap, under-charged
+communication) shows up as disagreement here.  The per-PE order is part
+of the synthesized system, not a runtime choice: granting an idle PE to
+whichever ready task asked first would let a low-priority task delay
+the critical path, a system the synthesizer never proposed.
 """
 
 from __future__ import annotations
@@ -77,6 +82,19 @@ def simulate_schedule(
 
     busy: Dict[str, float] = {name: 0.0 for name in pes}
 
+    # each PE runs its tasks in schedule order: a task waits for its
+    # predecessor on the same PE (start time, then placement order as
+    # the tie-break, which keeps zero-length tasks topologically sorted)
+    rank = {name: i for i, name in enumerate(schedule.start)}
+    prev_on_pe: Dict[str, str] = {}
+    last_on_pe: Dict[str, str] = {}
+    for name in sorted(graph.task_names,
+                       key=lambda n: (schedule.start[n], rank[n])):
+        pe_name = schedule.mapping[name]
+        if pe_name in last_on_pe:
+            prev_on_pe[name] = last_on_pe[pe_name]
+        last_on_pe[pe_name] = name
+
     def task_proc(name: str):
         for edge in graph.in_edges(name):
             key = (edge.src, name)
@@ -84,6 +102,8 @@ def simulate_schedule(
                 yield from channels[key].receive()
             else:
                 yield done[edge.src]
+        if name in prev_on_pe:
+            yield done[prev_on_pe[name]]
         pe_name = schedule.mapping[name]
         unit = units[pe_name]
         yield from unit.acquire()

@@ -51,6 +51,7 @@ from repro.fault.scenarios import (
     SCENARIOS,
     Scenario,
     SoftwareWorkload,
+    UnknownScenarioError,
     run_scenario,
     run_sw_batch,
     run_sw_scenario,
@@ -83,6 +84,7 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "SoftwareWorkload",
+    "UnknownScenarioError",
     "run_scenario",
     "run_sw_batch",
     "run_sw_scenario",

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.fault.scenarios import SCENARIOS, run_scenario
+from repro.fault.scenarios import lookup_scenario, run_scenario
 from repro.fault.spec import FAULT_VERSION, OUTCOMES, FaultSpec
 from repro.cosim.metrics import MetricsRegistry
 from repro.obs.live import TelemetryEmitter
@@ -262,10 +262,7 @@ def run_campaign(
     need the simulation kernel and in store mode (where shards own
     execution).
     """
-    if scenario not in SCENARIOS:
-        raise KeyError(
-            f"unknown scenario {scenario!r}; have {sorted(SCENARIOS)}"
-        )
+    scenario_obj = lookup_scenario(scenario)
     faults = list(faults)
     metrics = metrics if metrics is not None else MetricsRegistry()
     observed = span_tracer is not None
@@ -345,7 +342,6 @@ def run_campaign(
                 obs["spans"], lane=f"fault worker {obs['pid']}"
             )
 
-    scenario_obj = SCENARIOS[scenario]
     if (batch and not store_mode and pending
             and scenario_obj.software is not None):
         from repro.fault.scenarios import run_sw_batch

@@ -220,9 +220,8 @@ class FaultInjector:
         """Remove every hook :meth:`arm` installed that is removable
         without rewinding the simulator.
 
-        CPU saboteurs leave ``cpu.observers`` — which re-engages
-        whichever fast tier the CPU has (the interpreted block loop
-        *and* the translated tier, see DESIGN §13) on the very next
+        CPU saboteurs leave ``cpu.observers`` — which re-engages the
+        interpreted fast block loop (DESIGN §9) on the very next
         ``run_block`` call; message saboteurs unwrap, restoring the
         channel's original ``send`` even when several were stacked.
         Time-triggered saboteur *processes* (``signal_flip``,

@@ -559,6 +559,36 @@ SCENARIOS: Dict[str, Scenario] = {
 }
 
 
+class UnknownScenarioError(KeyError):
+    """A scenario name that is not in :data:`SCENARIOS`."""
+
+    def __str__(self) -> str:  # KeyError would repr() the message
+        return str(self.args[0])
+
+
+def lookup_scenario(name: str) -> Scenario:
+    """The registered scenario called ``name``.
+
+    Raises :class:`TypeError` unless ``name`` is a ``str`` — passing
+    the :class:`Scenario` object itself is the usual slip — and
+    :class:`UnknownScenarioError`, listing the known names, for a name
+    that is not registered.
+    """
+    if not isinstance(name, str):
+        hint = (f"; pass its name {name.name!r}"
+                if isinstance(name, Scenario) else "")
+        raise TypeError(
+            f"expected a scenario name (str), got "
+            f"{type(name).__name__}{hint}"
+        )
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise UnknownScenarioError(
+            f"unknown scenario {name!r}; have {sorted(SCENARIOS)}"
+        ) from None
+
+
 def run_scenario(
     name: str,
     fault: Optional[FaultSpec] = None,
@@ -576,7 +606,7 @@ def run_scenario(
     ``watchdog`` is ignored for them and the workload's instruction
     budget bounds the run instead.
     """
-    scenario = SCENARIOS[name]
+    scenario = lookup_scenario(name)
     if scenario.software is not None:
         return run_sw_scenario(scenario, fault)
     if watchdog is _USE_DEFAULT:

@@ -16,9 +16,6 @@ processor end to end:
   hardware, enabling true co-verification);
 * :mod:`repro.isa.profiler` — execution profiling for hot-spot-driven
   partitioning and custom-instruction mining;
-* :mod:`repro.isa.translate` — the block-translation execution tier:
-  hot basic blocks compiled to specialized Python closures, proven
-  equivalent to ``step()``/``run_block()`` (DESIGN §13);
 * :mod:`repro.isa.batch` — the vectorized batch execution tier: many
   near-identical runs (fault lanes, input sweeps) as columns of one
   structure-of-arrays machine, with divergent lanes drained to the
@@ -28,13 +25,6 @@ processor end to end:
 from repro.isa.instructions import Instruction, Isa, Opcode
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.cpu import Cpu, CpuError, Memory
-from repro.isa.translate import (
-    BlockTranslator,
-    auto_translation,
-    disable_auto_translation,
-    enable_auto_translation,
-    install,
-)
 from repro.isa.batch import BatchCpu, BatchStats, LaneExit
 
 __all__ = [
@@ -46,12 +36,7 @@ __all__ = [
     "Cpu",
     "Memory",
     "CpuError",
-    "BlockTranslator",
     "BatchCpu",
     "BatchStats",
     "LaneExit",
-    "install",
-    "auto_translation",
-    "enable_auto_translation",
-    "disable_auto_translation",
 ]

@@ -5,9 +5,7 @@ of times with tiny deltas — one flipped register bit, one seeded input
 word.  This module executes those near-identical runs as **lanes of a
 single structure-of-arrays machine**: the register file is an
 ``(N_REGS, n_lanes)`` numpy array, one campaign run per column, and
-each decoded instruction is dispatched *once* across every lane
-(ROADMAP item 3, attack (b); the block-translation half is
-:mod:`repro.isa.translate`).
+each decoded instruction is dispatched *once* across every lane.
 
 Execution model — *convergent and compacting*:
 
@@ -23,7 +21,7 @@ Execution model — *convergent and compacting*:
 * Draining happens **before** the divergent instruction executes, so
   the scalar tiers — not this module — produce every fault, trap, and
   error, with byte-identical messages and boundary state.  The batch
-  tier may move host time, never model results (DESIGN.md §9/§13/§14).
+  tier may move host time, never model results (DESIGN.md §9/§14).
 
 Lanes drain (``LaneExit.reason``) when they: take the minority side of
 a branch or ``jr`` (``branch``/``jr``), address memory off the
@@ -41,15 +39,6 @@ on the lane's column at exactly the retirement the scalar saboteur
 would fire, after which the lane keeps running vectorized — this is
 where the campaign speedup comes from, since the scalar engine must
 run every armed lane on the instruction-granular observer path.
-
-A batched block codegen layer mirrors :mod:`repro.isa.translate`:
-blocks are formed by the same :func:`~repro.isa.translate.scan_block`
-scan, keyed by head pc, compiled once hot, and emit one vector body
-per straight-line instruction run.  Blocks *bail* (commit what ran,
-fall back to the per-instruction dispatcher) at the first lane-variant
-condition — a zero divisor, a non-uniform address, a store into
-fetched code — so the single drain implementation above stays the only
-source of divergence handling.
 """
 
 from __future__ import annotations
@@ -61,12 +50,6 @@ import numpy as np
 
 from repro.isa.cpu import Cpu, Memory
 from repro.isa.instructions import MASK32, N_REGS, Isa
-from repro.isa.translate import (
-    DEFAULT_HOT_THRESHOLD,
-    MAX_BLOCK_LEN,
-    MAX_BLOCKS,
-    scan_block,
-)
 
 __all__ = ["BatchCpu", "BatchStats", "LaneExit"]
 
@@ -111,7 +94,6 @@ class BatchStats:
 
     lanes: int = 0
     dispatches: int = 0
-    block_calls: int = 0
     lane_instrs: int = 0
     steps: int = 0
     reasons: Dict[str, int] = field(default_factory=dict)
@@ -148,20 +130,12 @@ class BatchCpu:
         n_lanes: int,
         pc: int = 0,
         ivec: int = 0x40,
-        hot_threshold: int = DEFAULT_HOT_THRESHOLD,
-        max_blocks: int = MAX_BLOCKS,
-        max_block_len: int = MAX_BLOCK_LEN,
     ) -> None:
         if n_lanes < 1:
             raise ValueError("n_lanes must be >= 1")
-        if hot_threshold < 1:
-            raise ValueError("hot_threshold must be >= 1")
         self.isa = isa
         self.n_lanes = n_lanes
         self.ivec = ivec
-        self.hot_threshold = hot_threshold
-        self.max_blocks = max_blocks
-        self.max_block_len = max_block_len
         #: the shared program image (never mutated; stores go to the
         #: per-lane overlay)
         self._base: Dict[int, int] = dict(image)
@@ -188,20 +162,16 @@ class BatchCpu:
         self._m = m
         #: address -> (m,) int64 column of per-lane memory values
         self._overlay: Dict[int, np.ndarray] = {}
-        #: every address ever fetched or compiled (conservative SMC)
+        #: every address ever fetched (conservative SMC)
         self._fetched: Set[int] = set()
         self._pending_any = False
         self._next_trig = _NO_TRIG
-        self._at_head = True
         self._exits: List[LaneExit] = []
         self._ran = False
-        # decode + block caches (the image and ISA are fixed for the
-        # lifetime of a run, so neither needs invalidation)
+        # decode cache (the image and ISA are fixed for the lifetime of
+        # a run, so it needs no invalidation)
         self._ops: Dict[int, tuple] = {}
         self._cycle_table = isa.cycle_table()
-        self._blocks: Dict[int, Tuple] = {}
-        self._heads: Dict[int, int] = {}
-        self._uncompilable: Set[int] = set()
         self.stats = BatchStats(lanes=n_lanes)
 
     def __repr__(self) -> str:
@@ -272,7 +242,7 @@ class BatchCpu:
             raise RuntimeError("BatchCpu.run() is single-shot")
         self._ran = True
         while self._m and self.steps < budget:
-            self._dispatch(budget)
+            self._dispatch()
         if self._m:
             self._exit_all("budget")
         self.stats.steps = self.steps
@@ -403,8 +373,8 @@ class BatchCpu:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, budget: int) -> None:
-        """Execute one instruction (or one hot block) across all lanes."""
+    def _dispatch(self) -> None:
+        """Execute one instruction across all lanes."""
         self.stats.dispatches += 1
         pc = self.pc
         if pc in self._overlay:
@@ -412,12 +382,6 @@ class BatchCpu:
             # now run different code — only the scalar tiers can
             self._exit_all("smc")
             return
-        if self._at_head:
-            pc = self._try_block(pc, budget)
-            if pc is None:
-                return
-
-        # ---- per-instruction path -------------------------------------
         word = self._base.get(pc)
         if word is None:
             self._exit_all("fetch")
@@ -465,7 +429,6 @@ class BatchCpu:
         a = regs[rs1] if rs1 else 0
         next_pc = pc + 1
         extra = 0
-        at_head_next = False
 
         if op == 0x20:  # ADDI
             if rd:
@@ -503,7 +466,6 @@ class BatchCpu:
             if taken:
                 next_pc = pc + 1 + imm
                 extra = 1  # taken-branch penalty
-            at_head_next = True
         elif op == 0x30:  # LW
             if rs1 == 0:
                 ad: Optional[int] = imm & _M
@@ -646,11 +608,9 @@ class BatchCpu:
                 regs[rd] = ((imm & 0xFFFF) << 16) & _M
         elif op == 0x50:  # J
             next_pc = imm
-            at_head_next = True
         elif op == 0x51:  # JAL
             regs[15] = (pc + 1) & _M
             next_pc = imm
-            at_head_next = True
         elif op == 0x52:  # JR
             if rs1 == 0:
                 next_pc = 0
@@ -666,11 +626,9 @@ class BatchCpu:
                 next_pc = maj
             else:
                 next_pc = int(a[0])
-            at_head_next = True
         elif op == 0x60:  # RETI
             next_pc = self.epc
             self.irq_enabled[:] = True
-            at_head_next = True
         elif op == 0x7F:  # HALT
             self.steps += 1
             self.cycles += cyc
@@ -685,302 +643,9 @@ class BatchCpu:
         self.cycles += cyc + extra
         self.stats.lane_instrs += self._m
         self.pc = next_pc
-        self._at_head = at_head_next
         if self.steps == self._next_trig:
             self._fire_triggers()
             if not self._m:
                 return
         if op == 0x60 and self._pending_any:
             self._drain_irq()
-
-    # ------------------------------------------------------------------
-    # batched block codegen
-    # ------------------------------------------------------------------
-    def _try_block(self, pc: int, budget: int) -> Optional[int]:
-        """Run the hot block at ``pc`` if one applies.
-
-        Returns the pc for the per-instruction path to continue at, or
-        None when the block finished the dispatch (control transfer,
-        halt, or a drain).
-        """
-        ent = self._blocks.get(pc)
-        if ent is None:
-            if pc in self._uncompilable:
-                return pc
-            hits = self._heads.get(pc, 0) + 1
-            self._heads[pc] = hits
-            if hits < self.hot_threshold:
-                return pc
-            ent = self._compile_block(pc)
-            if ent is None:
-                return pc
-        fn, addrs, max_commit, cyc_p, lds_p, sts_p = ent
-        if (
-            self.steps + max_commit > budget
-            or self._next_trig <= self.steps + max_commit
-            or (self._overlay
-                and not addrs.isdisjoint(self._overlay))
-        ):
-            # not enough budget for a full commit, a trigger could fire
-            # mid-block, or the block's code is overlaid: the
-            # per-instruction path handles all three exactly
-            return pc
-        k, tag, payload = fn(
-            self.regs, self._base, self._overlay, self._fetched
-        )
-        if k:
-            self.stats.block_calls += 1
-            self.steps += k
-            self.cycles += cyc_p[k]
-            self.loads += lds_p[k]
-            self.stores += sts_p[k]
-            self.stats.lane_instrs += k * self._m
-        if tag == 1:  # jump (J/JAL)
-            self.pc = payload
-            return None
-        if tag == 2:  # halt
-            self.pc = payload
-            self._exit_all("halt", halted=True)
-            return None
-        if tag == 3:  # reti
-            self.pc = self.epc
-            self.irq_enabled[:] = True
-            if self._pending_any:
-                self._drain_irq()
-            return None
-        # tag 0: committed k instructions, then bailed (or fell off the
-        # scanned end) — continue per-instruction in this same dispatch
-        pc += k
-        self.pc = pc
-        if k:
-            self._at_head = False
-            if pc in self._overlay:
-                self._exit_all("smc")
-                return None
-        return pc
-
-    def _compile_block(self, pc0: int) -> Optional[Tuple]:
-        """Compile the straight-line block at ``pc0`` into one vector
-        function, or record it as uncompilable."""
-        instrs, addrs = scan_block(
-            self._base.get, self.isa.decode, pc0, self.max_block_len
-        )
-        # cut before the first instruction the vector body cannot
-        # express: per-lane control flow, stateful custom semantics,
-        # and certain-fault divisions all belong to the drain protocol
-        cut = len(instrs)
-        for k, instr in enumerate(instrs):
-            op = instr.opcode
-            if (
-                op in _BRANCHES
-                or op == 0x52
-                or self.isa.custom(op) is not None
-                or (op in (0x04, 0x05) and instr.rs2 == 0)
-            ):
-                cut = k
-                break
-        instrs = instrs[:cut]
-        addrs = addrs[:cut]
-        if not instrs:
-            self._uncompilable.add(pc0)
-            return None
-        if len(self._blocks) >= self.max_blocks:
-            # oldest-first eviction, mirroring BlockTranslator
-            del self._blocks[next(iter(self._blocks))]
-        table = self._cycle_table
-        cyc_p = [0]
-        lds_p = [0]
-        sts_p = [0]
-        for instr in instrs:
-            cyc_p.append(cyc_p[-1] + table[instr.opcode])
-            lds_p.append(lds_p[-1] + (instr.opcode == 0x30))
-            sts_p.append(sts_p[-1] + (instr.opcode == 0x31))
-        namespace: Dict[str, Any] = {"np": np}
-        lines = ["def _bb(regs, base, overlay, fetched):"]
-        for k, (instr, pc) in enumerate(zip(instrs, addrs)):
-            self._emit_vec(lines, k, pc, instr)
-        last = instrs[-1]
-        if last.opcode not in (0x50, 0x51, 0x60, 0x7F):
-            # fell off the scanned end: full commit, dispatcher
-            # continues per-instruction
-            lines.append(f"    return ({len(instrs)}, 0, None)")
-        source = "\n".join(lines)
-        code = compile(source, f"<r32-batch-block@{pc0:#x}>", "exec")
-        exec(code, namespace)
-        ent = (
-            namespace["_bb"], frozenset(addrs), len(instrs),
-            cyc_p, lds_p, sts_p,
-        )
-        self._blocks[pc0] = ent
-        self._fetched.update(addrs)
-        return ent
-
-    def _emit_vec(
-        self, out: List[str], k: int, pc: int, instr: Any
-    ) -> None:
-        """Append the vector-body source for instruction ``k``."""
-        op = instr.opcode
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        a = f"regs[{rs1}]" if rs1 else "0"
-        b = f"regs[{rs2}]" if rs2 else "0"
-        bail = f"        return ({k}, 0, None)"
-
-        def sx(src: str, var: str) -> None:
-            out.append(f"    {var} = {src}")
-            out.append(f"    {var} = {var} - (({var} >> 31) << 32)")
-
-        def uniform_addr() -> None:
-            """Bail unless every lane addresses the same word."""
-            out.append(f"    _a = regs[{rs1}]")
-            out.append("    if (_a != _a[0]).any():")
-            out.append(bail)
-            out.append(f"    _ad = (int(_a[0]) + {imm}) & {_M}")
-
-        if op == 0x20:  # ADDI
-            if rd:
-                if rs1:
-                    out.append(f"    regs[{rd}] = ({a} + {imm}) & {_M}")
-                else:
-                    out.append(f"    regs[{rd}] = {imm & _M}")
-        elif op == 0x01:  # ADD
-            if rd:
-                out.append(f"    regs[{rd}] = ({a} + {b}) & {_M}")
-        elif op == 0x02:  # SUB
-            if rd:
-                out.append(f"    regs[{rd}] = ({a} - {b}) & {_M}")
-        elif op == 0x03:  # MUL
-            if rd:
-                out.append(f"    regs[{rd}] = ({a} * {b}) & {_M}")
-        elif op in (0x04, 0x05):  # DIV / MOD (rs2 != 0 by the cut)
-            out.append(f"    _b = regs[{rs2}]")
-            out.append("    if (_b == 0).any():")
-            out.append(bail)
-            if rd:
-                sx(a, "_sa")
-                out.append(
-                    "    _sb = _b - ((_b >> 31) << 32)"
-                )
-                if op == 0x04:
-                    out.append(
-                        "    _q = np.abs(_sa) // np.abs(_sb)"
-                    )
-                    out.append(
-                        f"    regs[{rd}] = np.where("
-                        f"(_sa >= 0) == (_sb >= 0), _q, -_q) & {_M}"
-                    )
-                else:
-                    out.append(
-                        "    _r = np.abs(_sa) % np.abs(_sb)"
-                    )
-                    out.append(
-                        f"    regs[{rd}] = "
-                        f"np.where(_sa >= 0, _r, -_r) & {_M}"
-                    )
-        elif op == 0x06:  # AND
-            if rd:
-                out.append(f"    regs[{rd}] = {a} & {b}")
-        elif op == 0x07:  # OR
-            if rd:
-                out.append(f"    regs[{rd}] = {a} | {b}")
-        elif op == 0x08:  # XOR
-            if rd:
-                out.append(f"    regs[{rd}] = {a} ^ {b}")
-        elif op == 0x09:  # SLL
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} << ({b} & 31)) & {_M}"
-                )
-        elif op == 0x0A:  # SRL
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} & {_M}) >> ({b} & 31)"
-                )
-        elif op == 0x0B:  # SRA
-            if rd:
-                sx(a, "_sa")
-                out.append(
-                    f"    regs[{rd}] = (_sa >> ({b} & 31)) & {_M}"
-                )
-        elif op == 0x0C:  # SLT
-            if rd:
-                sx(a, "_sa")
-                sx(b, "_sb")
-                out.append(f"    regs[{rd}] = _sa < _sb")
-        elif op == 0x0D:  # SLTU
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} & {_M}) < ({b} & {_M})"
-                )
-        elif op == 0x21:  # ANDI
-            if rd:
-                out.append(f"    regs[{rd}] = {a} & {imm & 0xFFFF}")
-        elif op == 0x22:  # ORI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} | {imm & 0xFFFF}) & {_M}"
-                )
-        elif op == 0x23:  # XORI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} ^ {imm & 0xFFFF}) & {_M}"
-                )
-        elif op == 0x24:  # SLLI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} << {imm & 31}) & {_M}"
-                )
-        elif op == 0x25:  # SRLI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = ({a} & {_M}) >> {imm & 31}"
-                )
-        elif op == 0x26:  # SLTI
-            if rd:
-                sx(a, "_sa")
-                out.append(f"    regs[{rd}] = _sa < {imm}")
-        elif op == 0x27:  # LUI
-            if rd:
-                out.append(
-                    f"    regs[{rd}] = {((imm & 0xFFFF) << 16) & _M}"
-                )
-        elif op == 0x30:  # LW
-            if rd:
-                if rs1:
-                    uniform_addr()
-                    ad = "_ad"
-                else:
-                    ad = str(imm & _M)
-                out.append(f"    _v = overlay.get({ad})")
-                out.append(
-                    f"    regs[{rd}] = "
-                    f"base.get({ad}, 0) if _v is None else _v"
-                )
-            # rd == 0: the load count is in the prefix; per-lane
-            # addresses leave no per-lane state, so no uniformity check
-        elif op == 0x31:  # SW
-            if rs1:
-                uniform_addr()
-                ad = "_ad"
-            else:
-                ad = str(imm & _M)
-                out.append(f"    _ad = {ad}")
-            out.append("    if _ad in fetched:")
-            out.append(bail)
-            if rd:
-                out.append(f"    overlay[_ad] = regs[{rd}].copy()")
-            else:
-                out.append(
-                    "    overlay[_ad] = "
-                    "np.zeros(regs.shape[1], dtype=np.int64)"
-                )
-        elif op == 0x50:  # J
-            out.append(f"    return ({k + 1}, 1, {imm})")
-        elif op == 0x51:  # JAL
-            out.append(f"    regs[15] = {(pc + 1) & _M}")
-            out.append(f"    return ({k + 1}, 1, {imm})")
-        elif op == 0x60:  # RETI
-            out.append(f"    return ({k + 1}, 3, 0)")
-        elif op == 0x7F:  # HALT
-            out.append(f"    return ({k + 1}, 2, {pc})")
-        else:  # pragma: no cover - the cut excludes everything else
-            raise AssertionError(f"unvectorizable opcode {op:#x}")

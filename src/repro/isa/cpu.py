@@ -21,9 +21,8 @@ than just an interpreter:
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.isa.instructions import (
     Instruction,
@@ -82,13 +81,6 @@ class Memory:
         self._regions: List[_Region] = []
         self.loads = 0
         self.stores = 0
-        #: addresses covered by translated code (owned by the block
-        #: translator; None until one attaches, keeping plain-RAM
-        #: writes a single extra ``is not None`` test)
-        self.code_watch: Optional[set] = None
-        #: bumped whenever a write or image load touches a watched
-        #: address — the translated tier's invalidation clock
-        self.code_version = 0
 
     def add_region(
         self,
@@ -121,9 +113,6 @@ class Memory:
     def load_image(self, image: Dict[int, int]) -> None:
         """Copy an assembled program image into RAM."""
         self.ram.update(image)
-        watch = self.code_watch
-        if watch is not None and not watch.isdisjoint(image):
-            self.code_version += 1
 
     def read(self, addr: int) -> int:
         """Read one word (may raise :class:`_Defer` for external regions)."""
@@ -146,9 +135,6 @@ class Memory:
         region = self.region_at(addr)
         if region is None:
             self.ram[addr] = value
-            watch = self.code_watch
-            if watch is not None and addr in watch:
-                self.code_version += 1
             return
         if region.external:
             raise _Defer(ExternalAccess(addr, value, True))
@@ -168,26 +154,6 @@ class _Defer(Exception):
 IRQ_ENTRY_CYCLES = 4
 
 
-#: When set, every new :class:`Cpu` gets ``factory(cpu)`` as its
-#: :attr:`~Cpu.translator` — how ``repro.isa.translate`` enables the
-#: block-translation tier fleet-wide (scenario builders construct their
-#: own CPUs, so a per-instance install cannot reach them).  Managed by
-#: :func:`repro.isa.translate.enable_auto_translation`; also armed by
-#: the ``REPRO_TRANSLATE=1`` environment variable.
-_TRANSLATOR_FACTORY: Optional[Callable[["Cpu"], Any]] = None
-_FACTORY_RESOLVED = False
-
-
-def _resolve_translator_factory() -> Optional[Callable[["Cpu"], Any]]:
-    global _TRANSLATOR_FACTORY, _FACTORY_RESOLVED
-    _FACTORY_RESOLVED = True
-    if os.environ.get("REPRO_TRANSLATE", "") not in ("", "0"):
-        from repro.isa.translate import BlockTranslator
-
-        _TRANSLATOR_FACTORY = BlockTranslator
-    return _TRANSLATOR_FACTORY
-
-
 class Cpu:
     """The R32 processor model.
 
@@ -201,6 +167,9 @@ class Cpu:
     Co-simulation use alternates ``step()`` / ``complete_access()`` under
     the backplane's control.
     """
+
+    #: always None; pipebench/bench_layers.py (frozen) reads it
+    translator = None
 
     def __init__(
         self,
@@ -229,12 +198,6 @@ class Cpu:
         # whenever the ISA's version changes (custom ops, cycle edits)
         self._ops: Dict[int, tuple] = {}
         self._ops_version = -1
-        #: the block-translation tier (:mod:`repro.isa.translate`), or
-        #: None; :meth:`run_block` dispatches to it whenever no
-        #: observers are armed
-        factory = (_TRANSLATOR_FACTORY if _FACTORY_RESOLVED
-                   else _resolve_translator_factory())
-        self.translator = factory(self) if factory is not None else None
 
     # ------------------------------------------------------------------
     # register access helpers (r0 is hardwired to zero)
@@ -391,13 +354,10 @@ class Cpu:
         Whenever observers are armed (profilers, fault saboteurs, trace
         hooks) the fast path disables itself and the same loop runs
         over :meth:`step`, preserving the repo's convention that hooks
-        cost nothing when absent and change nothing when present.  The
-        check covers *every* fast tier: with observers armed neither
-        the interpreted fast loop nor the translated tier
-        (:mod:`repro.isa.translate`) runs, and detaching the last
-        observer (``Profiler.detach()``, ``FaultInjector.disarm()``)
-        re-engages whichever fast tier is installed on the very next
-        call — there is no sticky disabled state to reset.
+        cost nothing when absent and change nothing when present.
+        Detaching the last observer (``Profiler.detach()``,
+        ``FaultInjector.disarm()``) re-engages the fast path on the
+        very next call — there is no sticky disabled state to reset.
         """
         if self.halted or max_steps <= 0:
             return 0, 0, None
@@ -405,16 +365,14 @@ class Cpu:
             raise CpuError("run_block() while an external access is pending")
         if self.observers:
             return self._run_block_slow(max_steps)
-        if self.translator is not None:
-            return self.translator.execute(max_steps)
         return self._run_block_fast(max_steps)
 
     def _run_block_fast(
         self, max_steps: int
     ) -> Tuple[int, int, Optional[ExternalAccess]]:
         """The interpreted fast tier: :meth:`run_block` semantics over
-        the pre-decoded operand cache (no observer/translator
-        dispatch — callers guarantee no observers are armed)."""
+        the pre-decoded operand cache (no observer dispatch — callers
+        guarantee no observers are armed)."""
         if self.halted or max_steps <= 0:
             return 0, 0, None
 

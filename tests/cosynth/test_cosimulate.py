@@ -51,6 +51,22 @@ class TestBasics:
         sim = simulate_schedule(graph, schedule, TIGHT)
         assert 0.7 <= sim.agreement(schedule) <= 1.3
 
+    def test_pe_runs_tasks_in_schedule_order(self):
+        """Two tasks on one PE that become ready together run in the
+        schedule's order, not in the order they asked for the PE.  With
+        first-come arbitration this graph simulated 41% slower than its
+        schedule: a short-slack task took the PE ahead of the critical
+        path."""
+        graph = random_layered_graph(random.Random(2085), n_tasks=9)
+        alloc = Allocation.of({"r32": 2}, LIB)
+        schedule = schedule_on(graph, alloc, TIGHT)
+        sim = simulate_schedule(graph, schedule, TIGHT)
+        for name in graph.task_names:
+            assert sim.finish_times[name] == pytest.approx(
+                schedule.finish[name]
+            )
+        assert sim.agreement(schedule) == pytest.approx(1.0)
+
     def test_validates_synthesizer_output(self):
         """The Figure 2 nesting: co-synthesis results pass through
         co-simulation before being believed."""

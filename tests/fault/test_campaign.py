@@ -11,9 +11,11 @@ from repro.fault import (
     SCENARIOS,
     Scenario,
     System,
+    UnknownScenarioError,
     cell_fingerprint,
     classify,
     run_campaign,
+    run_scenario,
     sample_faults,
 )
 from repro.obs.spans import SpanTracer
@@ -124,6 +126,22 @@ class TestCampaign:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             run_campaign("ghost", [])
+
+    @pytest.mark.parametrize("entry", [run_scenario, run_campaign])
+    def test_scenario_object_rejected_with_typed_error(self, entry):
+        args = () if entry is run_scenario else ([],)
+        with pytest.raises(TypeError, match="scenario name.*'coproc'"):
+            entry(SCENARIOS["coproc"], *args)
+
+    @pytest.mark.parametrize("entry", [run_scenario, run_campaign])
+    def test_unknown_name_lists_known_scenarios(self, entry):
+        args = () if entry is run_scenario else ([],)
+        with pytest.raises(UnknownScenarioError) as info:
+            entry("nope", *args)
+        message = str(info.value)
+        assert message.startswith("unknown scenario 'nope'")
+        for name in SCENARIOS:
+            assert repr(name) in message
 
     def test_invalid_golden_raises_campaign_error(self, monkeypatch):
         # a scenario whose golden run never completes is unusable as a

@@ -1,84 +1,31 @@
 """Every shipped example must run to completion, cleanly.
 
 Examples are the public face of the library; this test keeps them from
-rotting as the API evolves.  Each runs in a subprocess with a generous
-timeout and must exit 0 with the output markers its narrative promises.
+rotting as the API evolves.  Each example's ``--smoke`` run must exit 0
+with the output markers its narrative promises.  The run itself is the
+session's one run of that example (the ``example_smoke_run`` fixture),
+shared with ``tests/examples/test_examples_smoke.py``.
 """
-
-import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-EXAMPLES_DIR = REPO_ROOT / "examples"
-
-EXPECTED_MARKERS = {
-    "quickstart.py": ["speedup over all-software", "cost breakdown"],
-    "coprocessor_codesign.py": ["PASS", "vulcan"],
-    "multiprocessor_synthesis.py": ["deadline", "binpack"],
-    "asip_exploration.py": ["speedup", "reconfigurable"],
-    "cosim_abstraction_ladder.py": ["PASS", "pin"],
-    "cosim_trace_ladder.py": [
-        "JSON trace written", "VCD waveform written", "per-process metrics",
-    ],
-    "embedded_interface.py": ["UART transmitted", "timer interrupts:  3"],
-    "executable_spec_refinement.py": ["step 1", "hardware: yes"],
-    "fault_campaign.py": [
-        "detection coverage", "outcome classes reached",
-    ],
-    "campaign_top.py": ["campaign post-mortem", "queue: done="],
-    "mixed_system.py": ["Mixed Type I / Type II", "matches"],
-    "partition_sweep.py": ["cells", "heuristic", "wins"],
-    "obs_report.py": ["flamegraph", "convergence", "schema valid"],
-    "design_explore.py": [
-        "pareto front", "weighted-sum pick",
-        "front identical at 1 and",
-    ],
-}
-
-
-def run_example(name, *args):
-    """Run one example in a subprocess with src/ explicitly on the path,
-    so examples are exercised against the working tree even when the
-    package is not installed."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / name), *args],
-        capture_output=True,
-        text=True,
-        timeout=240,
-        env=env,
-    )
+from tests.examples.runner import (
+    EXAMPLES,
+    EXPECTED_MARKERS,
+    check_trace_ladder_exports,
+)
 
 
 def test_every_example_is_listed():
-    on_disk = {p.name for p in EXAMPLES_DIR.glob("*.py")}
-    assert on_disk == set(EXPECTED_MARKERS), (
+    assert set(EXAMPLES) == set(EXPECTED_MARKERS), (
         "examples on disk and the marker table disagree"
     )
 
 
-#: Per-example CLI args for the generic run test (keeps slow examples
-#: inside their smoke configurations).
-EXAMPLE_ARGS = {
-    "campaign_top.py": ["--smoke"],
-    "obs_report.py": ["--smoke"],
-    "fault_campaign.py": ["--smoke"],
-    "design_explore.py": ["--smoke"],
-}
-
-
 @pytest.mark.slow  # subprocess per example: the smoke lane skips
 @pytest.mark.parametrize("name", sorted(EXPECTED_MARKERS))
-def test_example_runs(name):
-    proc = run_example(name, *EXAMPLE_ARGS.get(name, []))
+def test_example_runs(name, example_smoke_run):
+    proc, _outdir = example_smoke_run(name)
     assert proc.returncode == 0, proc.stderr[-2000:]
     for marker in EXPECTED_MARKERS[name]:
         assert marker in proc.stdout, (
@@ -86,32 +33,9 @@ def test_example_runs(name):
         )
 
 
-def test_obs_report_exports_are_well_formed(tmp_path):
-    """The observability report must leave behind a schema-valid
-    Perfetto trace and a mergeable metrics snapshot, in both modes."""
-    from repro.obs import validate_trace_events
-
-    for mode_args in (["--smoke"], ["--mode", "cosim"]):
-        outdir = tmp_path / mode_args[-1].lstrip("-")
-        proc = run_example("obs_report.py", *mode_args,
-                           "--out", str(outdir))
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        doc = json.loads((outdir / "obs_trace.json").read_text())
-        assert validate_trace_events(doc) == []
-        assert doc["traceEvents"], "trace has no events"
-        metrics = json.loads((outdir / "obs_metrics.json").read_text())
-        assert metrics["counters"], "metrics snapshot has no counters"
-
-
-def test_trace_ladder_exports_are_well_formed(tmp_path):
+def test_trace_ladder_exports_are_well_formed(example_smoke_run):
     """The tracing example must leave behind a parseable JSON trace and
     a structurally valid VCD in the requested output directory."""
-    proc = run_example("cosim_trace_ladder.py", str(tmp_path))
+    proc, outdir = example_smoke_run("cosim_trace_ladder.py")
     assert proc.returncode == 0, proc.stderr[-2000:]
-    doc = json.loads((tmp_path / "pin_trace.json").read_text())
-    assert doc["records"], "JSON trace has no records"
-    assert doc["metrics"]["counters"], "JSON trace has no metrics"
-    vcd = (tmp_path / "pin_wave.vcd").read_text()
-    assert "$enddefinitions $end" in vcd
-    assert "$var wire" in vcd
-    assert any(line.startswith("#") for line in vcd.splitlines())
+    check_trace_ladder_exports(outdir)

@@ -8,13 +8,18 @@ division faults, illegal words, injected IRQs and fault bit-flips —
 through both engines and compares complete snapshots, so any
 divergence between the pre-decoded trace-cache executor and the
 reference interpreter is a test failure, not a silent accuracy bug.
+
+The ``slow``-marked classes at the end run ≥200 examples per property
+over whole lifecycles: fault injectors armed then disarmed, observers
+attached then detached, code rewritten in flight or between runs, and
+the ISA mutated mid-run.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fault import FaultSpec
-from repro.fault.inject import _CpuSaboteur
+from repro.fault.inject import FaultInjector, System, _CpuSaboteur
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
 from repro.isa.instructions import CustomOp, Instruction, Isa, Opcode
@@ -271,14 +276,14 @@ def make_ext_cpu():
 
 
 class TestExternalAccess:
-    def drive(self, cpu, use_block):
+    def drive(self, cpu, use_block, chunk=3):
         accesses = []
         stored = {}
         for _ in range(50):
             if cpu.halted:
                 break
             if use_block:
-                _steps, _cycles, access = cpu.run_block(3)
+                _steps, _cycles, access = cpu.run_block(chunk)
             else:
                 result = cpu.step()
                 access = result if isinstance(result, ExternalAccess) else None
@@ -298,6 +303,13 @@ class TestExternalAccess:
         assert self.drive(ref, False) == self.drive(fast, True)
         assert snapshot(ref) == snapshot(fast)
         assert ref.get_reg(3) == 10
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_deferred_accesses_identical_chunked(self, chunk):
+        ref, fast = make_ext_cpu(), make_ext_cpu()
+        assert self.drive(ref, False) == self.drive(fast, True, chunk)
+        assert snapshot(ref) == snapshot(fast)
+        assert fast.get_reg(3) == 10
 
     def test_run_block_while_pending_rejected(self):
         cpu = make_ext_cpu()
@@ -353,3 +365,300 @@ class TestInvalidation:
             isa.decode(0x1F000000)
         with pytest.raises(ValueError):  # illegal words are never cached
             isa.decode(0x1F000000)
+
+
+# ----------------------------------------------------------------------
+# exhaustive lifecycle properties (slow lane): ≥200 examples each
+# ----------------------------------------------------------------------
+chunks_st = st.lists(st.integers(1, 9), min_size=1, max_size=4)
+
+
+def forbid_slow(cpu):
+    """After this, the observer step loop may never run again."""
+
+    def boom(max_steps):
+        raise AssertionError("slow path used with no observers")
+
+    cpu._run_block_slow = boom
+
+
+@pytest.mark.slow
+class TestDifferentialExhaustive:
+    @settings(max_examples=200, **COMMON)
+    @given(
+        instrs=st.lists(instr_st, min_size=1, max_size=20),
+        chunks=chunks_st,
+        illegal_at=st.one_of(st.none(), st.integers(0, 19)),
+    )
+    def test_run_block_matches_step_loop(self, instrs, chunks, illegal_at):
+        image = program_words(instrs, illegal_at)
+        ref, fast = make_cpu(image), make_cpu(image)
+        assert run_ref(ref) == run_fast(fast, tuple(chunks))
+        assert snapshot(ref) == snapshot(fast)
+
+    @settings(max_examples=200, **COMMON)
+    @given(instrs=st.lists(instr_st, min_size=1, max_size=20))
+    def test_warm_operand_cache_rerun_identical(self, instrs):
+        """A rerun over a warm operand cache retires identically to a
+        run from a cold one (the cache is a pure memo)."""
+        image = program_words(instrs)
+        cold = make_cpu(image)
+        err_cold = run_fast(cold, (BUDGET,))
+        state_cold = snapshot(cold)
+
+        warm = make_cpu(image)
+        run_fast(warm, (7,))
+        ops, version = warm._ops, warm._ops_version
+        # re-run from reset state on the *same* operand cache
+        warm.__init__(warm.isa, warm.memory, pc=0)
+        warm.memory.load_image(dict(image))
+        warm.memory.loads = warm.memory.stores = 0
+        warm._ops, warm._ops_version = ops, version
+        err_warm = run_fast(warm, (BUDGET,))
+        assert err_cold == err_warm
+        state_warm = snapshot(warm)
+        state_warm["ram"] = state_cold["ram"]  # first run may have SMC'd
+        state_warm["loads"] = state_cold["loads"]
+        state_warm["stores"] = state_cold["stores"]
+        if state_cold["ram"] == dict(image) or err_cold is not None:
+            return  # self-modified or errored: registers may differ too
+        assert state_cold == state_warm
+
+    @settings(max_examples=200, **COMMON)
+    @given(
+        limit=st.integers(1, 30),
+        modulus=st.integers(1, 5),
+        chunks=chunks_st,
+    )
+    def test_device_irqs_identical(self, limit, modulus, chunks):
+        ref, log_ref = make_irq_cpu(limit, modulus)
+        fast, log_fast = make_irq_cpu(limit, modulus)
+        budget = 20 * limit + 50
+        assert run_ref(ref, budget) == run_fast(fast, tuple(chunks), budget)
+        assert snapshot(ref) == snapshot(fast)
+        assert log_ref == log_fast
+        if limit >= modulus:
+            assert fast.irq_count > 0
+
+
+@pytest.mark.slow
+class TestFaultLifecycle:
+    @settings(max_examples=200, **COMMON)
+    @given(
+        instrs=st.lists(instr_st, min_size=1, max_size=20),
+        chunks=chunks_st,
+        reg=st.integers(0, 15),
+        bit=st.integers(0, 31),
+        count=st.integers(1, 40),
+    )
+    def test_fault_bitflips_identical(self, instrs, chunks, reg, bit, count):
+        spec = FaultSpec(kind="cpu_reg_flip", target="cpu",
+                         index=reg, bit=bit, count=count)
+        image = program_words(instrs)
+        ref, fast = make_cpu(image), make_cpu(image)
+        ref.observers.append(_CpuSaboteur(ref, spec))
+        fast.observers.append(_CpuSaboteur(fast, spec))
+        assert run_ref(ref) == run_fast(fast, tuple(chunks))
+        assert snapshot(ref) == snapshot(fast)
+
+    @settings(max_examples=200, **COMMON)
+    @given(
+        instrs=st.lists(instr_st, min_size=1, max_size=16),
+        phase1=st.integers(1, 30),
+        reg=st.integers(1, 15),
+        bit=st.integers(0, 31),
+        count=st.integers(1, 10),
+    )
+    def test_injector_disarm_reengages_fast_tier(
+        self, instrs, phase1, reg, bit, count
+    ):
+        """arm → run (slow path) → disarm → run: both engines stay
+        identical across the whole lifecycle, and after ``disarm()``
+        ``run_block`` never touches the observer step loop again."""
+        spec = FaultSpec(kind="cpu_reg_flip", target="cpu",
+                         index=reg, bit=bit, count=count)
+        image = program_words(instrs)
+        ref, fast = make_cpu(image), make_cpu(image)
+
+        def lifecycle(cpu, runner):
+            injector = FaultInjector(System(sim=None, cpu=cpu))
+            injector.arm(spec)
+            err = runner(cpu, phase1)
+            injector.disarm()
+            assert not cpu.observers
+            if err is not None:
+                return err
+            if cpu is fast:
+                forbid_slow(cpu)
+            return runner(cpu, BUDGET)
+
+        err_ref = lifecycle(ref, lambda c, b: run_ref(c, b))
+        err_fast = lifecycle(fast, lambda c, b: run_fast(c, (BUDGET,), b))
+        assert err_ref == err_fast
+        assert snapshot(ref) == snapshot(fast)
+
+
+def smc_image(target, word, rounds):
+    """A loop whose body rewrites its own instruction ``target`` with
+    ``word`` (fetched from data) once ``r1`` counts down — the body has
+    run, and its words sit in the operand cache, before the rewrite
+    lands."""
+    instrs = [
+        Instruction(0x20, rd=1, rs1=0, imm=rounds),  # 0: counter
+        Instruction(0x30, rd=2, rs1=0, imm=30),      # 1: new code word
+        Instruction(0x01, rd=3, rs1=3, rs2=1),       # 2: loop body...
+        Instruction(0x02, rd=4, rs1=3, rs2=2),       # 3
+        Instruction(0x08, rd=5, rs1=4, rs2=3),       # 4
+        Instruction(0x0D, rd=6, rs1=5, rs2=1),       # 5
+        Instruction(0x31, rd=2, rs1=0, imm=target),  # 6: rewrite code!
+        Instruction(0x20, rd=1, rs1=1, imm=-1),      # 7: r1 -= 1
+        Instruction(0x41, rd=1, rs1=0, imm=-8),      # 8: bne r1,r0 -> 2
+        Instruction(int(Opcode.HALT)),               # 9
+    ]
+    image = {i: _ENC.encode(x) for i, x in enumerate(instrs)}
+    image[30] = word
+    return image
+
+
+REWRITE_WORDS = [
+    _ENC.encode(Instruction(0x01, rd=7, rs1=1, rs2=2)),   # add
+    _ENC.encode(Instruction(0x20, rd=3, rs1=0, imm=11)),  # addi
+    _ENC.encode(Instruction(0x50, imm=9)),                # j halt
+    _ENC.encode(Instruction(int(Opcode.HALT))),
+    0x1F000000,                                           # illegal word
+]
+
+
+@pytest.mark.slow
+class TestSelfModifyingCode:
+    @settings(max_examples=200, **COMMON)
+    @given(
+        target=st.integers(2, 8),
+        word=st.sampled_from(REWRITE_WORDS),
+        rounds=st.integers(1, 5),
+        chunks=chunks_st,
+    )
+    def test_store_into_running_loop(self, target, word, rounds, chunks):
+        image = smc_image(target, word, rounds)
+        ref, fast = make_cpu(image), make_cpu(image)
+        budget = 40 * rounds + 60
+        assert run_ref(ref, budget) == run_fast(fast, tuple(chunks), budget)
+        assert snapshot(ref) == snapshot(fast)
+
+    @settings(max_examples=200, **COMMON)
+    @given(
+        instrs=st.lists(instr_st, min_size=1, max_size=16),
+        phase1=st.integers(1, 40),
+        addr=st.integers(0, 16),
+        word=st.sampled_from(REWRITE_WORDS),
+    )
+    def test_external_store_between_runs(
+        self, instrs, phase1, addr, word
+    ):
+        """Code rewritten through ``Memory.write`` *between* run_block
+        calls — e.g. by a DMA device — takes effect exactly as it does
+        between ``step()`` calls."""
+        image = program_words(instrs)
+        ref, fast = make_cpu(image), make_cpu(image)
+
+        def run_two_phase(cpu, runner):
+            err = runner(cpu, phase1)
+            cpu.memory.write(addr, word)
+            if err is not None:
+                return err
+            return runner(cpu, BUDGET)
+
+        err_ref = run_two_phase(ref, lambda c, b: run_ref(c, b))
+        err_fast = run_two_phase(
+            fast, lambda c, b: run_fast(c, (BUDGET,), b)
+        )
+        assert err_ref == err_fast
+        assert snapshot(ref) == snapshot(fast)
+
+
+CUSTOM_WORD = 0x80000000 | (7 << 20) | (1 << 16) | (2 << 12)  # op 0x80
+
+
+@pytest.mark.slow
+class TestIsaMutation:
+    @settings(max_examples=200, **COMMON)
+    @given(
+        instrs=st.lists(instr_st, min_size=1, max_size=14),
+        custom_at=st.one_of(st.none(), st.integers(0, 13)),
+        phase1=st.integers(1, 30),
+        add_cycles=st.integers(1, 9),
+        mac_cycles=st.integers(1, 5),
+    )
+    def test_midrun_mutation_identical(
+        self, instrs, custom_at, phase1, add_cycles, mac_cycles
+    ):
+        """Register a custom op and retime ADD *mid-run*: both engines
+        must drop every cached decode and continue identically —
+        including programs that embed the 0x80 word (illegal before the
+        mutation, a mac afterwards)."""
+        image = program_words(instrs)
+        if custom_at is not None:
+            image[custom_at % len(instrs)] = CUSTOM_WORD
+
+        def mutate(isa):
+            isa.add_custom(CustomOp(
+                "mac", 0x80,
+                lambda a, b: (a * b + 7) & 0xFFFFFFFF,
+                cycles=mac_cycles,
+            ))
+            isa.cycles[int(Opcode.ADD)] = add_cycles
+
+        def drive(runner):
+            isa = Isa()
+            cpu = make_cpu(image, isa)
+            err = runner(cpu, phase1)
+            mutate(isa)
+            if err is None:
+                err = runner(cpu, BUDGET)
+            return err, snapshot(cpu)
+
+        assert drive(lambda c, b: run_ref(c, b)) == drive(
+            lambda c, b: run_fast(c, (BUDGET,), b)
+        )
+
+
+@pytest.mark.slow
+class TestObserverLifecycle:
+    @settings(max_examples=200, **COMMON)
+    @given(
+        instrs=st.lists(instr_st, min_size=1, max_size=16),
+        phase1=st.integers(1, 20),
+        phase2=st.integers(1, 20),
+        chunks=chunks_st,
+    )
+    def test_attach_detach_cycle_identical(
+        self, instrs, phase1, phase2, chunks
+    ):
+        """free → observed → free again: the retirement sequence the
+        observer sees matches the reference, and after detach the
+        fast CPU never touches the observer step loop."""
+        image = program_words(instrs)
+        ref, fast = make_cpu(image), make_cpu(image)
+        seen_ref, seen_fast = [], []
+
+        def drive(cpu, seen, runner):
+            err = runner(cpu, phase1)
+            if err is not None:
+                return err
+            hook = lambda pc, i: seen.append((pc, i.opcode))  # noqa: E731
+            cpu.observers.append(hook)
+            err = runner(cpu, phase2)
+            cpu.observers.remove(hook)
+            if err is not None:
+                return err
+            if cpu is fast:
+                forbid_slow(cpu)
+            return runner(cpu, BUDGET)
+
+        err_ref = drive(ref, seen_ref, lambda c, b: run_ref(c, b))
+        err_fast = drive(
+            fast, seen_fast, lambda c, b: run_fast(c, tuple(chunks), b)
+        )
+        assert err_ref == err_fast
+        assert snapshot(ref) == snapshot(fast)
+        assert seen_ref == seen_fast

@@ -13,7 +13,6 @@ from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, Memory
 from repro.isa.instructions import Isa
 from repro.isa.profiler import Profiler
-from repro.isa.translate import install
 
 LOOP_PROGRAM = """
         addi r1, r0, 0
@@ -39,17 +38,6 @@ def forbid_slow_path(cpu):
         raise AssertionError("slow path used with no observers")
 
     cpu._run_block_slow = boom
-
-
-def forbid_all_but_translated(cpu):
-    """Only the translated tier may execute from here on — even the
-    interpreted fast loop trips this, so run with full budgets."""
-
-    def boom(max_steps):
-        raise AssertionError("untranslated tier used")
-
-    cpu._run_block_slow = boom
-    cpu._run_block_fast = boom
 
 
 class TestDetach:
@@ -99,54 +87,30 @@ class TestDetach:
         cpu.run()  # must finish entirely on the fast path
         assert cpu.halted
 
-    def test_profile_stays_readable_and_frozen_after_detach(self):
+    def test_injector_disarm_reengages_fast_path(self):
+        """``FaultInjector.disarm()`` must re-enable the fast path the
+        same way ``Profiler.detach()`` does — no sticky disabled
+        state."""
         cpu = make_cpu()
-        profiler = Profiler(cpu)
-        cpu.run_block(10)
-        profiler.detach()
-        seen = profiler.total_instructions
-        assert seen == 10
-        cpu.run()
-        # detached: later execution is not observed
-        assert profiler.total_instructions == seen
-        assert cpu.instr_count > seen
-        assert profiler.report()  # still renders
-
-
-class TestTranslatedTierReengage:
-    """Regression (ISSUE 9): detaching a profiler or disarming a fault
-    injector must re-enable the *translated* tier, not just the
-    interpreted ``run_block`` loop — no sticky disabled state."""
-
-    def test_profiler_detach_reengages_translated_tier(self):
-        cpu = make_cpu()
-        translator = install(cpu, hot_threshold=1)
-        profiler = Profiler(cpu)
-        cpu.run_block(8)  # observed: literal step loop
-        assert translator.translations == 0
-        assert profiler.total_instructions == 8
-
-        profiler.detach()
-        forbid_all_but_translated(cpu)
-        cpu.run_block(1 << 30)  # full budget: no remainder delegation
-        assert cpu.halted
-        assert translator.translations > 0
-
-    def test_injector_disarm_reengages_translated_tier(self):
-        cpu = make_cpu()
-        translator = install(cpu, hot_threshold=1)
         injector = FaultInjector(System(sim=None, cpu=cpu))
         injector.arm(FaultSpec(kind="cpu_reg_flip", target="cpu",
                                index=3, bit=0, count=2))
+        slow_calls = []
+        orig = cpu._run_block_slow
+
+        def counting(max_steps):
+            slow_calls.append(max_steps)
+            return orig(max_steps)
+
+        cpu._run_block_slow = counting
         cpu.run_block(8)  # saboteur armed: literal step loop
-        assert translator.translations == 0
+        assert slow_calls, "observers armed but fast path taken"
 
         injector.disarm()
         assert not cpu.observers
-        forbid_all_but_translated(cpu)
-        cpu.run_block(1 << 30)
+        forbid_slow_path(cpu)
+        cpu.run()
         assert cpu.halted
-        assert translator.translations > 0
 
     def test_disarm_is_idempotent_and_scoped(self):
         cpu = make_cpu()
@@ -161,22 +125,34 @@ class TestTranslatedTierReengage:
         assert cpu.observers == [other]
         assert injector.armed == []
 
-    def test_translated_run_matches_interpreted_after_detach(self):
+    def test_detached_run_matches_unobserved_run(self):
+        """Profiled for a prefix, then detached: the finished run is
+        identical to one that was never observed."""
         plain = make_cpu()
-        with Profiler(plain):
-            plain.run_block(8)
         plain.run()
 
-        translated = make_cpu()
-        install(translated, hot_threshold=1)
-        with Profiler(translated):
-            translated.run_block(8)
-        translated.run()
+        profiled = make_cpu()
+        with Profiler(profiled):
+            profiled.run_block(8)
+        profiled.run()
 
-        assert translated.halted and plain.halted
-        assert translated.regs == plain.regs
-        assert translated.instr_count == plain.instr_count
-        assert translated.cycle_count == plain.cycle_count
+        assert profiled.halted and plain.halted
+        assert profiled.regs == plain.regs
+        assert profiled.instr_count == plain.instr_count
+        assert profiled.cycle_count == plain.cycle_count
+
+    def test_profile_stays_readable_and_frozen_after_detach(self):
+        cpu = make_cpu()
+        profiler = Profiler(cpu)
+        cpu.run_block(10)
+        profiler.detach()
+        seen = profiler.total_instructions
+        assert seen == 10
+        cpu.run()
+        # detached: later execution is not observed
+        assert profiler.total_instructions == seen
+        assert cpu.instr_count > seen
+        assert profiler.report()  # still renders
 
 
 class TestContextManager:
