@@ -1,17 +1,18 @@
 """E21 — Closed-loop design-space exploration: GA vs random search.
 
-The explorer's claim is twofold: it is *cheap* (the ResultCache makes
-repeated genomes free, so a warm re-run recomputes nothing) and it is
+The explorer's claim is twofold: it is *cheap* (the campaign store
+makes repeated genomes free, so a warm re-run recomputes nothing) and it is
 *better than blind sampling* (at an equal evaluation budget the GA's
 Pareto front covers at least as much objective space as uniform random
 search).  This benchmark pins both on the coproc scenario — the
 three-objective (cost, latency, fault exposure) problem of Figure 8 —
 and records the numbers in ``BENCH_explore.json``:
 
-* **cold serial** — ``workers=1``, empty cache, seed 0;
-* **cold parallel** — ``workers=4``, separate empty cache; the result
-  must be byte-identical to the serial run;
-* **warm** — the serial run's cache; zero genomes recomputed
+* **cold serial** — ``workers=1``, empty
+  :class:`~repro.campaign.store.CampaignStore`, seed 0;
+* **cold parallel** — ``workers=4`` with no store (the process pool);
+  the result must be byte-identical to the serial run;
+* **warm** — the serial run's store; zero genomes recomputed
   (asserted via metrics counters, not timing);
 * **GA vs random** — over four ``ga_seed`` values, each GA run is
   paired with a :func:`random_search` of the *same* number of distinct
@@ -33,6 +34,7 @@ import os
 import time
 from pathlib import Path
 
+from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
 from repro.explore import (
     ExploreSpec,
@@ -41,7 +43,6 @@ from repro.explore import (
     objective_bounds,
     random_search,
 )
-from repro.sweep import ResultCache
 
 # one workload (not a mix: with several n_tasks the smallest problem
 # dominates every objective and the front degenerates to two points)
@@ -70,12 +71,11 @@ def _distinct_budget(result):
 
 
 def test_explore_beats_random_and_caches(benchmark, tmp_path):
-    serial_cache = ResultCache(tmp_path / "serial")
-    parallel_cache = ResultCache(tmp_path / "parallel")
+    serial_cache = CampaignStore(tmp_path / "serial.sqlite")
 
     cold_metrics = MetricsRegistry()
     serial, serial_s = _timed_explore(BASE, 1, serial_cache, cold_metrics)
-    parallel, parallel_s = _timed_explore(BASE, 4, parallel_cache)
+    parallel, parallel_s = _timed_explore(BASE, 4, None)
 
     # determinism: worker count must not leak into the result bytes
     assert parallel.to_json() == serial.to_json()

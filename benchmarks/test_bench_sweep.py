@@ -6,12 +6,13 @@ hardware allows".  This benchmark drives a 64-cell grid (2 generators x
 ``repro.sweep`` four ways and records the wall-clock for each in
 ``BENCH_sweep.json``:
 
-* **cold serial** — ``workers=1``, empty cache;
-* **cold parallel** — ``workers=4``, separate empty cache;
-* **cold campaign** — ``workers=4`` shards against an empty
-  :class:`~repro.campaign.store.CampaignStore` (the durable,
-  resumable execution path);
-* **warm** — ``workers=1``, the serial run's cache (every cell served
+* **cold serial** — ``workers=1`` against an empty
+  :class:`~repro.campaign.store.CampaignStore` (one in-process shard);
+* **cold parallel** — ``workers=4`` with no store, so the cells fan
+  over the process pool;
+* **cold campaign** — ``workers=4`` shards against a second empty
+  store (the durable, resumable execution path);
+* **warm** — ``workers=1``, the serial run's store (every cell served
   from disk).
 
 Asserted: the warm run finishes in < 10% of the cold-serial time with
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from repro.campaign import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
-from repro.sweep import ResultCache, expand_grid, run_sweep
+from repro.sweep import expand_grid, run_sweep
 
 GRID = dict(
     generators=["layered", "forkjoin"],
@@ -54,11 +55,10 @@ def test_sweep_serial_parallel_cached(benchmark, tmp_path):
     configs = expand_grid(**GRID)
     assert len(configs) >= 64
 
-    serial_cache = ResultCache(tmp_path / "serial")
-    parallel_cache = ResultCache(tmp_path / "parallel")
+    serial_cache = CampaignStore(tmp_path / "serial.sqlite")
 
     serial_table, serial_s = _timed_sweep(configs, 1, serial_cache)
-    parallel_table, parallel_s = _timed_sweep(configs, 4, parallel_cache)
+    parallel_table, parallel_s = _timed_sweep(configs, 4, None)
 
     # determinism: worker count must not leak into the results
     assert parallel_table.to_json() == serial_table.to_json()

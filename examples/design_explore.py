@@ -9,13 +9,13 @@ the Pareto front plus the weighted-sum recommendation.  With
 *exposure*, measured by a real (cached) fault-injection campaign.
 
 The front is deterministic end to end: the same spec produces
-byte-identical front JSON at any worker count, cold or warm, with a
-JSON cache or a durable SQLite store (``--smoke`` asserts exactly
-that, plus that a warm re-run recomputes zero genomes).
+byte-identical front JSON at any worker count, cold or warm, with or
+without a durable SQLite store (``--smoke`` asserts exactly that,
+plus that a warm re-run recomputes zero genomes).
 
 Run:  python examples/design_explore.py
       python examples/design_explore.py --scenario coproc \\
-          --population 16 --generations 5 --workers 4 --cache .dse
+          --population 16 --generations 5 --workers 4 --store dse.sqlite
       python examples/design_explore.py --store dse.sqlite --resume
       python examples/design_explore.py --smoke --out front.json
 """
@@ -33,7 +33,6 @@ from repro.explore import (
 )
 from repro.obs.spans import SpanTracer
 from repro.partition.seeding import ProgressProbe
-from repro.sweep import ResultCache
 
 
 def main(argv=None) -> int:
@@ -58,11 +57,9 @@ def main(argv=None) -> int:
                              "2-objective cost x latency")
     parser.add_argument("--scenario-faults", type=int, default=40)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--cache", metavar="DIR",
-                        help="JSON result cache (reuse across runs)")
     parser.add_argument("--store", metavar="FILE",
-                        help="SQLite campaign store (durable, "
-                             "resumable; excludes --cache)")
+                        help="SQLite campaign store: reuse results "
+                             "across runs (durable, resumable)")
     parser.add_argument("--resume", action="store_true",
                         help="with --store: narrate committed progress "
                              "before running (resume is automatic)")
@@ -98,33 +95,29 @@ def main(argv=None) -> int:
         scenario_faults=args.scenario_faults,
     )
 
-    if args.store and args.cache:
-        raise SystemExit("--store and --cache are mutually exclusive")
     if args.resume and not args.store:
         raise SystemExit("--resume requires --store")
+    store = None
     if args.store:
         from repro.campaign import CampaignStore
 
-        cache = CampaignStore(args.store)
+        store = CampaignStore(args.store)
         if args.resume and not args.quiet:
-            print(f"resume: {len(cache)} cells already committed in "
+            print(f"resume: {len(store)} cells already committed in "
                   f"{args.store}")
-    else:
-        cache = ResultCache(args.cache) if args.cache else None
 
     tracer = SpanTracer() if args.trace else None
     probe = ProgressProbe()
     metrics = MetricsRegistry()
 
     if not args.quiet:
-        backing = (args.store and f"store {args.store}") or \
-            (args.cache and f"cache {args.cache}") or "off"
+        backing = f"store {args.store}" if args.store else "off"
         print(f"explore: population={spec.population} "
               f"generations={spec.generations} "
               f"scenario={spec.scenario or 'none'} "
               f"workers={args.workers} results={backing}")
     t0 = time.perf_counter()
-    result = explore(spec, workers=args.workers, cache=cache,
+    result = explore(spec, workers=args.workers, cache=store,
                      metrics=metrics, span_tracer=tracer, probe=probe)
     elapsed = time.perf_counter() - t0
 
@@ -147,7 +140,7 @@ def main(argv=None) -> int:
     if args.random_baseline:
         budget = spec.population * spec.generations
         baseline = random_search(spec, budget, workers=args.workers,
-                                 cache=cache)
+                                 cache=store)
         # compare in one shared normalization so the volumes are
         # commensurable
         from repro.explore import normalized_hypervolume, \
@@ -162,11 +155,11 @@ def main(argv=None) -> int:
     if args.smoke:
         # the acceptance contract, asserted live: byte-identical front
         # at 1 and 2 workers, and a warm re-run computes nothing
-        serial = explore(spec, workers=1, cache=cache)
+        serial = explore(spec, workers=1, cache=store)
         assert serial.to_json() == result.to_json(), \
             "explore result differs across worker counts"
-        if cache is not None:
-            warm = explore(spec, workers=1, cache=cache)
+        if store is not None:
+            warm = explore(spec, workers=1, cache=store)
             assert warm.to_json() == result.to_json(), \
                 "warm re-run changed the front"
             assert warm.stats.computed == 0, \

@@ -31,7 +31,6 @@ import time
 
 from repro.cosim.metrics import MetricsRegistry
 from repro.fault import OUTCOMES, SCENARIOS, run_campaign, sample_faults
-from repro.sweep import ResultCache
 
 
 def main(argv=None) -> int:
@@ -43,11 +42,9 @@ def main(argv=None) -> int:
                         help="campaign size (default 66)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--cache", metavar="DIR",
-                        help="reuse results across runs")
     parser.add_argument("--store", metavar="FILE",
-                        help="SQLite campaign store (durable queue + "
-                             "results, resumable; excludes --cache)")
+                        help="SQLite campaign store: reuse results "
+                             "across runs (durable queue, resumable)")
     parser.add_argument("--resume", action="store_true",
                         help="with --store: narrate committed progress "
                              "before running (resume is automatic)")
@@ -72,22 +69,19 @@ def main(argv=None) -> int:
 
     scenario = SCENARIOS[args.scenario]
     faults = sample_faults(scenario.targets, args.faults, seed=args.seed)
-    if args.store and args.cache:
-        raise SystemExit("--store and --cache are mutually exclusive")
     if args.resume and not args.store:
         raise SystemExit("--resume requires --store")
     if args.telemetry and not args.store:
         raise SystemExit("--telemetry requires --store (pool mode "
                          "records with --flight-recorder instead)")
+    store = None
     if args.store:
         from repro.campaign import CampaignStore
 
-        cache = CampaignStore(args.store)
+        store = CampaignStore(args.store)
         if args.resume:
-            print(f"resume: {len(cache)} cells already committed in "
+            print(f"resume: {len(store)} cells already committed in "
                   f"{args.store}")
-    else:
-        cache = ResultCache(args.cache) if args.cache else None
 
     recorder = None
     if args.flight_recorder:
@@ -97,7 +91,7 @@ def main(argv=None) -> int:
     elif args.telemetry:
         from repro.obs import StoreRecorder
 
-        recorder = StoreRecorder(cache)
+        recorder = StoreRecorder(store)
 
     print(f"campaign: scenario={args.scenario} faults={len(faults)} "
           f"seed={args.seed} workers={args.workers}"
@@ -105,7 +99,7 @@ def main(argv=None) -> int:
     metrics = MetricsRegistry()
     t0 = time.perf_counter()
     result = run_campaign(args.scenario, faults, workers=args.workers,
-                          cache=cache, recorder=recorder,
+                          cache=store, recorder=recorder,
                           metrics=metrics, batch=args.batch)
     elapsed = time.perf_counter() - t0
     print()

@@ -2,26 +2,26 @@
 """Parallel partition-heuristic sweep from the command line.
 
 Fan a grid of (graph generator x cost model x heuristic x seed) cells
-across worker processes, cache every completed cell on disk, and print
-the Section 5-style comparison table over the swept workloads.
+across worker processes and print the Section 5-style comparison
+table over the swept workloads.
 
 Grid syntax: each axis is a comma-separated list; seeds also accept
-inclusive ranges ("0-7" or "0-3,8,12-13").  Cells are cached under
---cache keyed by a fingerprint of the full cell config, so re-running
-with a grown grid only computes the new cells, and a pure re-run
-computes nothing.
+inclusive ranges ("0-7" or "0-3,8,12-13").
 
-With --store the sweep runs on the durable campaign service instead:
-cells are queued in a SQLite store, N shard processes claim/commit
-them in batches, and a run interrupted at any point (Ctrl-C, SIGKILL,
-power loss) resumes recomputing only uncommitted cells — with a final
-table byte-identical to an uninterrupted run.  --import-cache migrates
-an existing JSON --cache directory into the store.
+With --store every completed cell is kept in a SQLite campaign store,
+keyed by a fingerprint of the full cell config, so re-running with a
+grown grid only computes the new cells and a pure re-run computes
+nothing.  Cells are queued in the store, N shard processes
+claim/commit them in batches, and a run interrupted at any point
+(Ctrl-C, SIGKILL, power loss) resumes recomputing only uncommitted
+cells — with a final table byte-identical to an uninterrupted run.
+--import-cache migrates a legacy JSON cache directory (one
+<fingerprint>.json file per cell) into the store.
 
 Run:  python examples/partition_sweep.py \\
           --generators layered,forkjoin --cost-models default,comm_heavy \\
           --heuristics greedy,kl,vulcan,cosyma --seeds 0-3 \\
-          --workers 4 --cache .sweep-cache
+          --workers 4 --store sweep.sqlite
       python examples/partition_sweep.py \\
           --seeds 0-31 --workers 4 --store sweep.sqlite --resume
 """
@@ -34,7 +34,6 @@ from repro.graph.generators import COST_MODELS, GENERATORS
 from repro.partition import HEURISTICS
 from repro.sweep import (
     COMM_MODELS,
-    ResultCache,
     expand_grid,
     parse_seed_spec,
     run_differential,
@@ -89,19 +88,17 @@ def main(argv=None) -> int:
                              "('none' = unbounded; default 0.5)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (default 1 = in-process)")
-    parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="result cache directory (default: no cache)")
     parser.add_argument("--store", default=None, metavar="FILE",
                         help="SQLite campaign store (durable job queue "
                              "+ results; resumable after any "
-                             "interruption; excludes --cache)")
+                             "interruption; default: no store)")
     parser.add_argument("--resume", action="store_true",
                         help="with --store: narrate how much of the "
                              "grid is already committed before running "
                              "(resume itself is automatic)")
     parser.add_argument("--import-cache", default=None, metavar="DIR",
-                        help="with --store: first import a JSON "
-                             "ResultCache directory into the store")
+                        help="with --store: first import a legacy JSON "
+                             "cache directory into the store")
     parser.add_argument("--flight-recorder", default=None,
                         metavar="FILE",
                         help="record live telemetry (heartbeats, "
@@ -139,28 +136,25 @@ def main(argv=None) -> int:
         deadline_factor=args.deadline_factor,
         area_budget_factor=args.budget_factor,
     )
-    if args.store and args.cache:
-        raise SystemExit("--store and --cache are mutually exclusive")
     if (args.resume or args.import_cache) and not args.store:
         raise SystemExit("--resume/--import-cache require --store")
     if args.telemetry and not args.store:
         raise SystemExit("--telemetry requires --store (pool mode "
                          "records with --flight-recorder instead)")
+    store = None
     if args.store:
         from repro.campaign import CampaignStore
 
-        cache = CampaignStore(args.store)
+        store = CampaignStore(args.store)
         if args.import_cache:
-            imported = cache.import_cache(ResultCache(args.import_cache))
+            imported = store.import_cache(args.import_cache)
             if not args.quiet:
                 print(f"imported {imported} records from "
                       f"{args.import_cache} into {args.store}")
         if args.resume and not args.quiet:
-            done = sum(1 for c in grid if c.fingerprint in cache)
+            done = sum(1 for c in grid if c.fingerprint in store)
             print(f"resume: {done}/{len(grid)} grid cells already "
                   f"committed in {args.store}")
-    else:
-        cache = ResultCache(args.cache) if args.cache else None
     metrics = MetricsRegistry()
 
     recorder = None
@@ -171,14 +165,13 @@ def main(argv=None) -> int:
     elif args.telemetry:
         from repro.obs import StoreRecorder
 
-        recorder = StoreRecorder(cache)
+        recorder = StoreRecorder(store)
 
     if not args.quiet:
-        backing = (args.store and f"store {args.store}") or \
-            (args.cache and f"cache {args.cache}") or "off"
+        backing = f"store {args.store}" if args.store else "off"
         print(f"sweep: {len(grid)} cells, workers={args.workers}, "
               f"results={backing}")
-    table = run_sweep(grid, workers=args.workers, cache=cache,
+    table = run_sweep(grid, workers=args.workers, cache=store,
                       metrics=metrics, recorder=recorder)
     if args.flight_recorder and not args.quiet:
         print(f"  flight recorder: {args.flight_recorder}")
@@ -189,8 +182,8 @@ def main(argv=None) -> int:
 
     if args.smoke:
         # the acceptance contract: identical table at 1 and 2 workers
-        serial = run_sweep(grid, workers=1, cache=cache)
-        pooled = run_sweep(grid, workers=2, cache=cache)
+        serial = run_sweep(grid, workers=1, cache=store)
+        pooled = run_sweep(grid, workers=2, cache=store)
         assert serial.to_json() == pooled.to_json(), \
             "sweep table differs across worker counts"
         if not args.quiet:

@@ -1,18 +1,18 @@
 """Campaign-as-a-service: durable, sharded, resumable experiment runs.
 
-The substrate ROADMAP item 1 asks for, under both the sweep and fault
+The execution substrate under the sweep, fault-campaign and explorer
 engines:
 
-* :mod:`repro.campaign.store` — :class:`CampaignStore`, one SQLite
-  file holding a fingerprint-keyed result store (drop-in for
-  :class:`repro.sweep.cache.ResultCache`, same ``CACHE_VERSION``
-  semantics, plus a migration import from existing cache directories)
-  and a lease-stamped persistent job queue;
-* :mod:`repro.campaign.service` — :func:`run_store_jobs`, the
-  coordinator + N work-stealing shard processes that drain the queue
-  with batched claim/commit transactions, reclaim dead leases, and
-  make any interrupted campaign resumable with byte-identical final
-  tables;
+* :mod:`repro.campaign.store` — :class:`CampaignStore`, the one result
+  store: a SQLite file holding fingerprint-keyed results (versioned by
+  ``CACHE_VERSION``, with a read-only importer for legacy JSON cache
+  directories) and a lease-stamped persistent job queue;
+* :mod:`repro.campaign.service` — :func:`run_jobs`, the engines' one
+  fan-out: a process pool (:func:`pool_map`) without a store, or
+  :func:`run_store_jobs` with one — the coordinator + N work-stealing
+  shard processes that drain the queue with batched claim/commit
+  transactions, reclaim dead leases, and make any interrupted campaign
+  resumable with byte-identical final tables;
 * :mod:`repro.campaign.runners` — the named payload→record runner
   registry shards execute from.
 
@@ -28,12 +28,18 @@ Quick tour::
 """
 
 from repro.campaign.store import (
+    CACHE_VERSION,
+    CacheVersionError,
     CampaignStore,
     JOB_STATES,
 )
 from repro.campaign.service import (
     CampaignCellError,
     CampaignInterrupted,
+    CellTiming,
+    PoolJobError,
+    pool_map,
+    run_jobs,
     run_store_jobs,
 )
 from repro.campaign.runners import (
@@ -43,10 +49,16 @@ from repro.campaign.runners import (
 )
 
 __all__ = [
+    "CACHE_VERSION",
+    "CacheVersionError",
     "CampaignStore",
     "JOB_STATES",
     "CampaignCellError",
     "CampaignInterrupted",
+    "CellTiming",
+    "PoolJobError",
+    "pool_map",
+    "run_jobs",
     "run_store_jobs",
     "RUNNERS",
     "get_runner",

@@ -1,10 +1,13 @@
-"""The campaign service: a coordinator plus N work-stealing shards.
+"""The one fan-out every experiment engine runs its cells through.
 
-:func:`run_store_jobs` is the execution discipline both engines
-(:func:`repro.sweep.engine.run_sweep` and
-:func:`repro.fault.campaign.run_campaign`) delegate to when handed a
-:class:`~repro.campaign.store.CampaignStore` — the durable counterpart
-of :func:`~repro.sweep.engine.pool_map`:
+:func:`run_jobs` is where :func:`repro.sweep.engine.run_sweep`,
+:func:`repro.fault.campaign.run_campaign` and
+:func:`repro.explore.driver.explore` hand their cache misses: a list of
+``(fingerprint, payload)`` jobs, each executed by a named runner from
+:mod:`repro.campaign.runners`.  Without a store it fans them over
+:func:`pool_map` (in-process for one worker, a process pool for more);
+with a :class:`~repro.campaign.store.CampaignStore` it runs them through
+:func:`run_store_jobs`, the durable, resumable mode:
 
 * the coordinator reclaims stale leases (instant resume after a
   SIGKILL'd run), enqueues the still-missing cells, and spawns shard
@@ -27,10 +30,13 @@ one source of truth.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.runners import get_runner
 from repro.campaign.store import CampaignStore
@@ -43,6 +49,117 @@ from repro.obs.live import (
 #: ``on_done(fingerprint, record, obs_or_none, in_worker_elapsed_s)``.
 OnDone = Callable[[str, Dict[str, Any], Optional[Dict[str, Any]], float],
                   None]
+
+#: One job: ``(fingerprint, JSON payload for the runner)``.
+Job = Tuple[str, Dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class CellTiming:
+    """Where one job's wall-clock went.
+
+    ``elapsed_s`` is measured *inside* the worker, around ``fn(job)``
+    alone; ``wait_s`` is the queue wait between submission and the
+    worker picking the job up.  The old single number started the
+    clock at submission, so "cell time" silently inflated with worker
+    count — a 4-worker sweep looked like it had 4x slower cells.
+    ``wait_s`` is ``None`` when the execution path has no submission
+    queue to measure (the campaign store's durable queue, for one).
+    """
+
+    elapsed_s: float
+    wait_s: Optional[float] = None
+
+
+class PoolJobError(RuntimeError):
+    """``fn(job)`` raised; carries which job so callers can name it.
+
+    Completions that arrived before the failure were already delivered
+    through ``on_done`` — nothing finished is lost.
+    """
+
+    def __init__(self, job: Any, cause: BaseException) -> None:
+        super().__init__(
+            f"pool job {job!r} failed: {type(cause).__name__}: {cause}"
+        )
+        self.job = job
+
+
+def _timed_call(fn: Callable[[Any], Any], submit_pc: float, job: Any):
+    """Worker-side wrapper: run the job and clock it *here*.
+
+    Returns ``(result, wait_s, elapsed_s)``.  ``perf_counter`` is
+    system-wide on Linux (CLOCK_MONOTONIC), the same property the span
+    tracer already relies on, so ``start - submit_pc`` measured across
+    the process boundary is a real queue wait.
+    """
+    start = time.perf_counter()
+    result = fn(job)
+    return result, start - submit_pc, time.perf_counter() - start
+
+
+def pool_map(
+    fn: Callable[[Any], Any],
+    jobs: List[Any],
+    workers: int,
+    on_done: Callable[[Any, Any, CellTiming], None],
+) -> None:
+    """Run ``fn(job)`` for every job and report each completion.
+
+    The store-less execution mode of :func:`run_jobs`: ``workers == 1``
+    (or a single job) runs in-process with no pool; more workers fan
+    jobs over a ``ProcessPoolExecutor``.  ``on_done(job, result,
+    timing)`` fires in *completion* order — callers that need
+    deterministic output must key results by job identity, never by
+    arrival order.  ``fn`` must be picklable (a top-level function or
+    a ``functools.partial`` of one).
+
+    A failing job raises :class:`PoolJobError` naming the job — after
+    every completion that beat it to the finish line has been
+    delivered, and with the remaining submissions cancelled.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers == 1 or len(jobs) <= 1:
+        for job in jobs:
+            t0 = time.perf_counter()
+            try:
+                result = fn(job)
+            except Exception as exc:
+                raise PoolJobError(job, exc) from exc
+            on_done(job, result,
+                    CellTiming(time.perf_counter() - t0, 0.0))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        submitted = {
+            pool.submit(_timed_call, fn, time.perf_counter(), job): job
+            for job in jobs
+        }
+        outstanding = set(submitted)
+        try:
+            while outstanding:
+                done, outstanding = wait(
+                    outstanding, return_when=FIRST_COMPLETED
+                )
+                failed = None
+                for future in done:
+                    job = submitted[future]
+                    exc = future.exception()
+                    if exc is not None:
+                        # deliver this round's successes first; then
+                        # fail on one deterministic representative
+                        if failed is None:
+                            failed = (job, exc)
+                        continue
+                    result, wait_s, elapsed_s = future.result()
+                    on_done(job, result, CellTiming(elapsed_s, wait_s))
+                if failed is not None:
+                    job, exc = failed
+                    raise PoolJobError(job, exc) from exc
+        except PoolJobError:
+            for future in outstanding:
+                future.cancel()
+            raise
 
 
 class CampaignInterrupted(RuntimeError):
@@ -279,3 +396,68 @@ def run_store_jobs(
         if metrics is not None:
             metrics.counter("campaign.cells.failed").inc(len(failures))
         raise CampaignCellError(failures)
+
+
+def _run_job(runner_name: str, job: Job):
+    """Pool-side body of :func:`run_jobs`: the named runner on one job.
+
+    The runner travels by name, as it does to store shards, so a
+    worker process resolves it from its own registry.
+    """
+    return get_runner(runner_name)(job[1])
+
+
+def run_jobs(
+    runner: str,
+    jobs: Iterable[Job],
+    workers: int,
+    on_done: Callable[[str, Dict[str, Any], CellTiming,
+                       Optional[Dict[str, Any]]], None],
+    store: Optional[CampaignStore] = None,
+    metrics=None,
+    span_tracer=None,
+    recorder=None,
+    observed: bool = False,
+) -> None:
+    """Run ``(fingerprint, payload)`` jobs; the engines' one fan-out.
+
+    Every job runs through the runner registered as ``runner`` — or
+    ``<runner>_observed`` when a ``span_tracer`` is attached or
+    ``observed`` is set (a sweep observed by a probe alone needs the
+    worker payload without a tracer).  Without a ``store`` the jobs go to
+    :func:`pool_map`; with one they go to :func:`run_store_jobs`,
+    which commits every result to the store (``recorder`` is handed
+    to it for the flight recorder).  Each completion's worker
+    observability is merged here — metric deltas into ``metrics``,
+    spans onto a ``"<runner> worker <pid>"`` (pool) or ``"campaign
+    shard <pid>"`` (store) lane of ``span_tracer`` — before
+    ``on_done(fingerprint, record, timing, obs)`` fires.
+
+    Failures surface as :class:`PoolJobError` (pool, ``job`` is the
+    failing ``(fingerprint, payload)``) or :class:`CampaignCellError`
+    (store).
+    """
+    observed = observed or span_tracer is not None
+    name = f"{runner}_observed" if observed else runner
+    lane = "campaign shard" if store is not None else f"{runner} worker"
+
+    def deliver(fingerprint: str, record: Dict[str, Any],
+                obs: Optional[Dict[str, Any]], timing: CellTiming) -> None:
+        if obs is not None:
+            if metrics is not None:
+                metrics.merge(obs["metrics"])
+            if span_tracer is not None:
+                span_tracer.merge_snapshot(
+                    obs["spans"], lane=f"{lane} {obs['pid']}")
+        on_done(fingerprint, record, timing, obs)
+
+    if store is None:
+        pool_map(functools.partial(_run_job, name), list(jobs), workers,
+                 lambda job, out, timing: deliver(job[0], *out, timing))
+    else:
+        run_store_jobs(
+            store, name, jobs, workers,
+            lambda fp, record, obs, elapsed: deliver(
+                fp, record, obs, CellTiming(elapsed)),
+            metrics=metrics, span_tracer=span_tracer, recorder=recorder,
+        )

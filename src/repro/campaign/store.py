@@ -4,12 +4,10 @@ One database file holds two tables that together make a campaign
 durable and resumable:
 
 ``results``
-    fingerprint-addressed records, drop-in compatible with
-    :class:`repro.sweep.cache.ResultCache` (same SHA-256 fingerprint
-    keys, same :data:`~repro.sweep.cache.CACHE_VERSION` semantics —
-    an entry written by a *newer* schema raises
-    :class:`~repro.sweep.cache.CacheVersionError`, an older one reads
-    as a miss and is recomputed over);
+    fingerprint-addressed records (SHA-256 fingerprint keys, versioned
+    by :data:`CACHE_VERSION` — an entry written by a *newer* schema
+    raises :class:`CacheVersionError`, an older one reads as a miss and
+    is recomputed over);
 
 ``jobs``
     the work queue: each row is one cell awaiting computation, with a
@@ -43,7 +41,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.sweep.cache import CACHE_VERSION, CacheVersionError, ResultCache
+#: Bump to invalidate every stored result (record schema change).
+CACHE_VERSION = 1
 
 #: A claimed unit of work: (fingerprint, payload dict).
 ClaimedJob = Tuple[str, Dict[str, Any]]
@@ -102,13 +101,23 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-class CampaignStore:
-    """Durable result store + job queue for sweep/fault campaigns.
+class CacheVersionError(RuntimeError):
+    """A stored result was written by a newer, incompatible schema.
 
-    Implements the same ``get``/``put``/``fingerprints``/``clear``
-    surface as :class:`~repro.sweep.cache.ResultCache`, so anything
-    that takes a ``cache=`` accepts a store; the queue methods on top
-    are what the campaign service schedules with.
+    Raised instead of a silent miss: recomputing over it would clobber
+    results another (newer) tool still trusts.  The message names the
+    entry and both versions, so the fix — a fresh store, or an upgrade
+    — is obvious.
+    """
+
+
+class CampaignStore:
+    """Durable result store + job queue for sweep/fault/explore runs.
+
+    The ``get``/``put``/``fingerprints``/``clear`` surface is what the
+    engines' ``cache=`` argument reads hits from; the queue methods on
+    top are what :func:`repro.campaign.service.run_store_jobs`
+    schedules with.
     """
 
     def __init__(self, path, lease_s: float = 20.0,
@@ -156,13 +165,13 @@ class CampaignStore:
         self._conn_pid = None
 
     # ------------------------------------------------------------------
-    # result store (ResultCache-compatible surface)
+    # result store
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The stored record, or None on miss/stale version.
 
-        Raises :class:`~repro.sweep.cache.CacheVersionError` for rows
-        written by a newer schema — same contract as the JSON cache.
+        Raises :class:`CacheVersionError` for rows written by a newer
+        schema.
         """
         row = self.conn.execute(
             "SELECT version, record FROM results WHERE fingerprint = ?",
@@ -247,19 +256,39 @@ class CampaignStore:
     # ------------------------------------------------------------------
     # migration
     # ------------------------------------------------------------------
-    def import_cache(self, cache: ResultCache) -> int:
-        """Import every readable entry of a JSON :class:`ResultCache`.
+    def import_cache(self, directory) -> int:
+        """Import a legacy one-file-per-fingerprint cache directory.
 
-        The upgrade path from the flat one-file-per-fingerprint layout:
-        unreadable/stale entries are skipped (they were misses there
-        too); a newer-versioned entry raises, exactly as reading it
-        from the cache would.  Returns how many records were imported.
+        Each ``<fingerprint>.json`` file holds ``{"version",
+        "fingerprint", "record"}``.  A corrupt, older-version or
+        fingerprint-mismatched entry is skipped (it read as a miss
+        there too); an entry written by a *newer* schema raises
+        :class:`CacheVersionError`, and a missing directory
+        :class:`NotADirectoryError`.  The directory is only read.
+        Returns how many records were imported.
         """
+        directory = Path(directory)
+        if not directory.is_dir():
+            raise NotADirectoryError(f"no cache directory at {directory}")
         items = []
-        for fingerprint in cache.fingerprints():
-            record = cache.get(fingerprint)
-            if record is not None:
-                items.append((fingerprint, record))
+        for path in sorted(directory.glob("*.json")):
+            try:
+                doc = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                continue
+            if not isinstance(doc, dict):
+                continue
+            version = doc.get("version")
+            if isinstance(version, int) and version > CACHE_VERSION:
+                raise CacheVersionError(
+                    f"cache entry {path} was written by schema version "
+                    f"{version}, but this build only supports up to "
+                    f"{CACHE_VERSION}; upgrade the tool to import it"
+                )
+            record = doc.get("record")
+            if version == CACHE_VERSION and isinstance(record, dict) \
+                    and doc.get("fingerprint") == path.stem:
+                items.append((path.stem, record))
         return self.put_many(items)
 
     # ------------------------------------------------------------------

@@ -11,10 +11,11 @@ tool into a search driver.  One run:
    (:mod:`repro.explore.doe`);
 3. **evaluates populations** through the exact execution discipline
    the engines already trust — deduplicated by effective-genome
-   fingerprint, served from the :class:`~repro.sweep.cache.ResultCache`
-   / :class:`~repro.campaign.store.CampaignStore` when warm, fanned
-   over :func:`repro.sweep.engine.pool_map` (or the durable campaign
-   service when the cache is a store) when cold;
+   fingerprint, served from the
+   :class:`~repro.campaign.store.CampaignStore` when warm, handed to
+   the shared :func:`repro.campaign.service.run_jobs` fan-out (a
+   process pool, or the durable campaign service with a store) when
+   cold;
 4. **selects** by non-dominated sort + crowding distance over the
    *entire archive* (elitist: the front can only grow, so each
    generation is provably no worse than its DoE seed — asserted by
@@ -47,6 +48,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.service import CellTiming, run_jobs
+from repro.campaign.store import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
 from repro.explore.doe import doe_population
 from repro.explore.evaluate import (
@@ -55,8 +58,6 @@ from repro.explore.evaluate import (
     measure_dependability,
     objective_names,
     objectives_from_record,
-    run_genome,
-    run_genome_observed,
 )
 from repro.explore.genome import Genome, SearchSpace, design_space
 from repro.explore.pareto import (
@@ -70,7 +71,6 @@ from repro.explore.pareto import (
 from repro.obs.live import TelemetryEmitter
 from repro.obs.spans import SpanTracer
 from repro.partition.seeding import ProgressProbe
-from repro.sweep.engine import CellTiming, pool_map
 
 #: Schema version of the explorer's result JSON.
 FRONT_VERSION = 1
@@ -334,7 +334,7 @@ class ExploreResult:
 def explore(
     spec: ExploreSpec,
     workers: int = 1,
-    cache=None,
+    cache: Optional[CampaignStore] = None,
     metrics: Optional[MetricsRegistry] = None,
     span_tracer: Optional[SpanTracer] = None,
     probe: Optional[ProgressProbe] = None,
@@ -342,11 +342,11 @@ def explore(
 ) -> ExploreResult:
     """Run the closed-loop GA/DoE search; return the evaluated archive.
 
-    ``cache`` accepts a :class:`~repro.sweep.cache.ResultCache` or a
-    :class:`~repro.campaign.store.CampaignStore` (duck-typed on
-    ``.claim``, exactly like the engines) — with a store, genome
-    evaluation runs on the durable campaign service and an interrupted
-    exploration resumes without recomputing committed genomes.
+    ``cache`` is an optional
+    :class:`~repro.campaign.store.CampaignStore` — with a store,
+    genome evaluation (and the dependability campaign) runs on the
+    durable campaign service and an interrupted exploration resumes
+    without recomputing committed genomes.
 
     ``recorder`` arms the flight recorder: run marks, evaluation
     heartbeats, and one ``generation`` sample per selection round
@@ -515,7 +515,7 @@ def random_search(
     spec: ExploreSpec,
     evaluations: int,
     workers: int = 1,
-    cache=None,
+    cache: Optional[CampaignStore] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ExploreResult:
     """The equal-budget baseline: uniform genomes, same evaluator.
@@ -613,8 +613,6 @@ class _Evaluator:
         self.archive_order = archive_order
         self.records = records
         self.full_genomes = full_genomes
-        self.store_mode = cache is not None and hasattr(cache, "claim")
-        self.observed = span_tracer is not None
 
     def evaluate(self, population: Sequence[Genome],
                  generation: int) -> None:
@@ -655,7 +653,6 @@ class _Evaluator:
                     continue
                 metrics.counter("explore.cache.misses").inc()
                 pending.append((fp, {
-                    "fingerprint": fp,
                     "genome": self.space.effective(genome),
                     "problem": self.spec.problem.to_dict(),
                 }))
@@ -683,41 +680,10 @@ class _Evaluator:
             metrics.counter("explore.genomes.computed").inc()
             metrics.histogram("explore.genome.elapsed_s").observe(
                 timing.elapsed_s)
-            if self.cache is not None and not self.store_mode:
-                self.cache.put(fp, record)
-            if obs is not None:
-                metrics.merge(obs["metrics"])
-                if self.span_tracer is not None:
-                    lane = ("campaign shard" if self.store_mode
-                            else "explore worker")
-                    self.span_tracer.merge_snapshot(
-                        obs["spans"], lane=f"{lane} {obs['pid']}",
-                    )
 
-        if self.store_mode:
-            from repro.campaign.service import run_store_jobs
-
-            def on_committed(fp: str, record: Dict[str, Any],
-                             obs: Optional[Dict[str, Any]],
-                             elapsed_s: float) -> None:
-                finish(fp, record, CellTiming(elapsed_s), obs)
-
-            runner = ("explore_observed" if self.observed
-                      else "explore")
-            run_store_jobs(self.cache, runner, pending, self.workers,
-                           on_committed, metrics=metrics,
-                           span_tracer=self.span_tracer,
-                           recorder=self.recorder)
-        else:
-            fn = run_genome_observed if self.observed else run_genome
-
-            def on_done(job: Dict[str, Any], out: Any,
-                        timing: CellTiming) -> None:
-                record, obs = out if self.observed else (out, None)
-                finish(job["fingerprint"], record, timing, obs)
-
-            pool_map(fn, [payload for _, payload in pending],
-                     self.workers, on_done)
+        run_jobs("explore", pending, self.workers, finish,
+                 store=self.cache, metrics=metrics,
+                 span_tracer=self.span_tracer, recorder=self.recorder)
 
         # archive in population order, not completion order
         for fp, _ in pending:

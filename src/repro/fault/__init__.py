@@ -17,7 +17,7 @@ This package measures that, DAVOS/SBFI style:
   plus :func:`run_sw_batch` / :func:`run_sw_sweep`, the vectorized
   many-lane drivers for software-only scenarios (DESIGN §14);
 * :mod:`repro.fault.campaign` — :func:`run_campaign`: golden-vs-faulty
-  fan-out over :func:`repro.sweep.engine.pool_map`, outcome
+  fan-out over :func:`repro.campaign.service.run_jobs`, outcome
   classification (masked / sdc / detected / hang / crash), and the
   dependability report.
 

@@ -1,10 +1,11 @@
 """Fault campaigns: golden-vs-faulty runs, classified and tabulated.
 
 A campaign takes one scenario and a list of :class:`FaultSpec`, runs
-the golden (fault-free) reference plus one run per fault — reusing the
-sweep engine's :func:`~repro.sweep.engine.pool_map` fan-out and
-:class:`~repro.sweep.cache.ResultCache` — and classifies every outcome
-record against the golden one:
+the golden (fault-free) reference plus one run per fault — through the
+shared :func:`~repro.campaign.service.run_jobs` fan-out, with results
+served from and committed to an optional
+:class:`~repro.campaign.store.CampaignStore` — and classifies every
+outcome record against the golden one:
 
 ``crash``
     the run raised (CPU fault, kernel error) — anything but a watchdog
@@ -36,13 +37,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.campaign.service import CellTiming, run_jobs
+from repro.campaign.store import CampaignStore
 from repro.fault.scenarios import lookup_scenario, run_scenario
-from repro.fault.spec import FAULT_VERSION, OUTCOMES, FaultSpec
+from repro.fault.spec import CPU_KINDS, FAULT_VERSION, OUTCOMES, FaultSpec
 from repro.cosim.metrics import MetricsRegistry
 from repro.obs.live import TelemetryEmitter
 from repro.obs.spans import SpanTracer
-from repro.sweep.cache import ResultCache
-from repro.sweep.engine import CellTiming, pool_map
 
 #: A campaign job: (scenario name, fault dict or None for golden).
 Job = Tuple[str, Optional[Dict[str, Any]]]
@@ -71,7 +72,7 @@ def cell_fingerprint(scenario: str, fault: Optional[FaultSpec]) -> str:
 
 
 def run_fault_cell(job: Job) -> Dict[str, Any]:
-    """Run one campaign cell (top-level, so pool workers can pickle it)."""
+    """Run one campaign cell (the body of the ``fault`` runner)."""
     scenario, fault_dict = job
     fault = FaultSpec.from_dict(fault_dict) if fault_dict else None
     return run_scenario(scenario, fault)
@@ -236,7 +237,7 @@ def run_campaign(
     scenario: str,
     faults: Iterable[FaultSpec],
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[CampaignStore] = None,
     span_tracer: Optional[SpanTracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     recorder=None,
@@ -245,9 +246,11 @@ def run_campaign(
     """Run the golden reference plus one cell per fault; classify all.
 
     Identical execution discipline to :func:`repro.sweep.engine.run_sweep`:
-    ``workers=1`` stays in-process, more workers fan the uncached cells
-    over a process pool; duplicate faults are computed once; a
-    ``cache`` makes re-runs incremental; attaching a ``span_tracer``
+    duplicate faults are computed once, cells in the ``cache`` store
+    are served from it, and the rest go through
+    :func:`~repro.campaign.service.run_jobs` — in-process for
+    ``workers=1``, a process pool for more, the durable campaign
+    service when a store is attached.  Attaching a ``span_tracer``
     puts per-fault spans (recorded inside the workers) onto the
     parent's Perfetto timeline without perturbing the records.
     ``recorder`` arms the flight recorder exactly as in ``run_sweep``
@@ -256,16 +259,15 @@ def run_campaign(
     ``batch=True`` routes the uncached cells of a software-only
     scenario (golden + every CPU fault) through one
     :class:`~repro.isa.BatchCpu` — one lane per cell, executed in the
-    parent (DESIGN §14).  Records, classification, and the cache
-    content are byte-identical to the scalar path; only wall clock and
-    the volatile stats change.  The flag is a no-op for scenarios that
-    need the simulation kernel and in store mode (where shards own
-    execution).
+    parent (DESIGN §14) and committed to the store, when there is one,
+    before the remaining cells fan out.  Records, classification, and
+    the stored content are byte-identical to the scalar path; only
+    wall clock and the volatile stats change.  The flag is a no-op
+    for scenarios that need the simulation kernel.
     """
     scenario_obj = lookup_scenario(scenario)
     faults = list(faults)
     metrics = metrics if metrics is not None else MetricsRegistry()
-    observed = span_tracer is not None
     t0 = time.perf_counter()
     stats = CampaignStats(faults=len(faults), workers=workers)
     metrics.counter("fault.campaign.faults").inc(len(faults))
@@ -281,7 +283,8 @@ def run_campaign(
         campaign_span = None
 
     records: Dict[str, Dict[str, Any]] = {}
-    pending: List[Tuple[str, Job]] = []  # (fingerprint, job)
+    #: (fingerprint, fault or None for golden) of every uncached cell
+    pending: List[Tuple[str, Optional[FaultSpec]]] = []
 
     def want(fault: Optional[FaultSpec]) -> str:
         """Register one cell; returns its fingerprint."""
@@ -296,32 +299,22 @@ def run_campaign(
             metrics.counter("fault.cache.hits").inc()
         else:
             records[fingerprint] = {}  # reserve against duplicates
-            job: Job = (
-                scenario, fault.to_dict() if fault is not None else None
-            )
-            pending.append((fingerprint, job))
+            pending.append((fingerprint, fault))
             metrics.counter("fault.cache.misses").inc()
         return fingerprint
 
-    golden_fp = want(None)
-    fault_fps = [want(fault) for fault in faults]
-
-    #: a CampaignStore (duck-typed on its queue surface) switches the
-    #: fan-out to the durable campaign service — resumable after any
-    #: interruption, results committed by the shards themselves.
-    store_mode = cache is not None and hasattr(cache, "claim")
-
-    #: pool mode emits from the parent; store mode hands the recorder
-    #: to the campaign service (coordinator + shard streams) instead
+    #: without a store the parent emits the run marks itself; a store
+    #: hands the recorder to the campaign service (coordinator + shard
+    #: streams) instead
     emitter = None
-    if recorder is not None and not store_mode:
+    if recorder is not None and cache is None:
         emitter = TelemetryEmitter(recorder, role="fault")
         emitter.emit("run", event="start", scenario=scenario,
                      faults=len(faults), workers=workers)
 
     def finish(fingerprint: str, record: Dict[str, Any],
                timing: CellTiming,
-               obs: Optional[Dict[str, Any]]) -> None:
+               obs: Optional[Dict[str, Any]] = None) -> None:
         records[fingerprint] = record
         stats.computed += 1
         if emitter is not None:
@@ -334,112 +327,82 @@ def run_campaign(
         if timing.wait_s is not None:
             metrics.histogram("fault.cell.wait_s").observe(
                 timing.wait_s)
-        if cache is not None and not store_mode:
-            cache.put(fingerprint, record)
-        if obs is not None:
-            metrics.merge(obs["metrics"])
-            span_tracer.merge_snapshot(
-                obs["spans"], lane=f"fault worker {obs['pid']}"
-            )
-
-    if (batch and not store_mode and pending
-            and scenario_obj.software is not None):
-        from repro.fault.scenarios import run_sw_batch
-        from repro.fault.spec import CPU_KINDS
-
-        lanes: List[Tuple[str, Optional[FaultSpec]]] = []
-        rest: List[Tuple[str, Job]] = []
-        for fingerprint, job in pending:
-            fault_dict = job[1]
-            spec = FaultSpec.from_dict(fault_dict) if fault_dict else None
-            if spec is None or spec.kind in CPU_KINDS:
-                lanes.append((fingerprint, spec))
-            else:
-                rest.append((fingerprint, job))
-        if lanes:
-            t_batch = time.perf_counter()
-            lane_records, batch_stats = run_sw_batch(
-                scenario_obj, [spec for _, spec in lanes]
-            )
-            per_cell = (time.perf_counter() - t_batch) / len(lanes)
-            metrics.counter("fault.batch.lanes").inc(batch_stats.lanes)
-            metrics.counter("fault.batch.dispatches").inc(
-                batch_stats.dispatches)
-            metrics.counter("fault.batch.drained").inc(
-                batch_stats.drained())
-            metrics.histogram("fault.batch.occupancy").observe(
-                batch_stats.occupancy())
-            if emitter is not None:
-                emitter.emit(
-                    "batch", scenario=scenario,
-                    lanes=batch_stats.lanes,
-                    dispatches=batch_stats.dispatches,
-                    drained=batch_stats.drained(),
-                    occupancy=round(batch_stats.occupancy(), 4),
-                    reasons=dict(batch_stats.reasons),
-                )
-            for (fingerprint, _spec), record in zip(lanes, lane_records):
-                finish(fingerprint, record, CellTiming(per_cell), None)
-        pending = rest
 
     try:
-        if store_mode:
-            from repro.campaign.service import run_store_jobs
+        golden_fp = want(None)
+        fault_fps = [want(fault) for fault in faults]
 
-            payloads = [
-                (fp, {"scenario": scenario_name, "fault": fault_dict})
-                for fp, (scenario_name, fault_dict) in pending
-            ]
+        if batch and pending and scenario_obj.software is not None:
+            lanes = [(fp, fault) for fp, fault in pending
+                     if fault is None or fault.kind in CPU_KINDS]
+            pending = [(fp, fault) for fp, fault in pending
+                       if fault is not None
+                       and fault.kind not in CPU_KINDS]
+            if lanes:
+                from repro.fault.scenarios import run_sw_batch
 
-            def on_committed(fingerprint: str, record: Dict[str, Any],
-                             obs: Optional[Dict[str, Any]],
-                             elapsed_s: float) -> None:
-                finish(fingerprint, record, CellTiming(elapsed_s), obs)
+                t_batch = time.perf_counter()
+                lane_records, batch_stats = run_sw_batch(
+                    scenario_obj, [fault for _, fault in lanes]
+                )
+                per_cell = (time.perf_counter() - t_batch) / len(lanes)
+                metrics.counter("fault.batch.lanes").inc(
+                    batch_stats.lanes)
+                metrics.counter("fault.batch.dispatches").inc(
+                    batch_stats.dispatches)
+                metrics.counter("fault.batch.drained").inc(
+                    batch_stats.drained())
+                metrics.histogram("fault.batch.occupancy").observe(
+                    batch_stats.occupancy())
+                if emitter is not None:
+                    emitter.emit(
+                        "batch", scenario=scenario,
+                        lanes=batch_stats.lanes,
+                        dispatches=batch_stats.dispatches,
+                        drained=batch_stats.drained(),
+                        occupancy=round(batch_stats.occupancy(), 4),
+                        reasons=dict(batch_stats.reasons),
+                    )
+                for (fp, _fault), record in zip(lanes, lane_records):
+                    finish(fp, record, CellTiming(per_cell))
+                if cache is not None:
+                    cache.put_many(
+                        (fp, records[fp]) for fp, _fault in lanes)
 
-            runner = "fault_observed" if observed else "fault"
-            run_store_jobs(cache, runner, payloads, workers,
-                           on_committed, metrics=metrics,
-                           span_tracer=span_tracer, recorder=recorder)
-        else:
-            by_job_fp = {id(job): fp for fp, job in pending}
-
-            def on_done(job: Job, out: Any,
-                        timing: CellTiming) -> None:
-                record, obs = out if observed else (out, None)
-                finish(by_job_fp[id(job)], record, timing, obs)
-
-            cell_fn = (run_fault_cell_observed if observed
-                       else run_fault_cell)
-            pool_map(cell_fn, [job for _, job in pending], workers,
-                     on_done)
-    except BaseException:
-        # never leave the campaign span open across a failed fan-out
-        if campaign_span is not None:
-            campaign_span.__exit__(*sys.exc_info())
-            campaign_span = None
-        raise
-
-    golden = records[golden_fp]
-    if golden.get("error") or not golden.get("completed") \
-            or golden.get("detected"):
-        raise CampaignError(
-            f"golden run of {scenario!r} is not a valid reference: "
-            f"{golden!r}"
+        run_jobs(
+            "fault",
+            [(fp, {"scenario": scenario,
+                   "fault": fault.to_dict() if fault is not None
+                   else None})
+             for fp, fault in pending],
+            workers, finish, store=cache, metrics=metrics,
+            span_tracer=span_tracer, recorder=recorder,
         )
 
-    result = CampaignResult(scenario=scenario, golden=golden)
-    for fault, fingerprint in zip(faults, fault_fps):
-        record = records[fingerprint]
-        result.rows.append({
-            "fault": fault.to_dict(),
-            "label": fault.describe(),
-            "fingerprint": fingerprint,
-            "outcome": classify(golden, record),
-            "record": record,
-        })
+        golden = records[golden_fp]
+        if golden.get("error") or not golden.get("completed") \
+                or golden.get("detected"):
+            raise CampaignError(
+                f"golden run of {scenario!r} is not a valid reference: "
+                f"{golden!r}"
+            )
 
-    if campaign_span is not None:
-        campaign_span.__exit__(None, None, None)
+        result = CampaignResult(scenario=scenario, golden=golden)
+        for fault, fingerprint in zip(faults, fault_fps):
+            record = records[fingerprint]
+            result.rows.append({
+                "fault": fault.to_dict(),
+                "label": fault.describe(),
+                "fingerprint": fingerprint,
+                "outcome": classify(golden, record),
+                "record": record,
+            })
+    finally:
+        # never leave the campaign span open, whether the fan-out
+        # failed or the golden run was unusable
+        if campaign_span is not None:
+            campaign_span.__exit__(*sys.exc_info())
+
     stats.elapsed_s = time.perf_counter() - t0
     if emitter is not None:
         # the final beat carries ``exiting`` so post-mortems read a
@@ -458,3 +421,4 @@ def run_campaign(
     for outcome, count in result.histogram().items():
         metrics.counter(f"fault.outcome.{outcome}").inc(count)
     return result
+

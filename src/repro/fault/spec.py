@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 #: Bump when a field's meaning (or the outcome-record schema) changes:
@@ -130,13 +130,35 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
-        """Rebuild from :meth:`to_dict` output; unknown keys rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
+        """Rebuild from :meth:`to_dict` output.
+
+        Every job payload crosses this boundary, so a malformed dict
+        raises :class:`FaultSpecError` naming each unknown field, each
+        missing required field and each field of the wrong type.
+        """
+        if not isinstance(data, dict):
             raise FaultSpecError(
-                f"unknown fault fields: {sorted(unknown)}"
+                f"a fault spec must be a dict, not "
+                f"{type(data).__name__}"
             )
+        problems = []
+        unknown = sorted(set(data) - set(_FIELD_TYPES))
+        if unknown:
+            problems.append(f"unknown fault fields: {unknown}")
+        missing = [name for name in _REQUIRED if name not in data]
+        if missing:
+            problems.append(f"missing fault fields: {missing}")
+        for name, value in data.items():
+            want = _FIELD_TYPES.get(name)
+            accepted = (int, float) if want is float else want
+            if want is not None and (isinstance(value, bool)
+                                     or not isinstance(value, accepted)):
+                problems.append(
+                    f"fault field {name!r} must be {want.__name__}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
+        if problems:
+            raise FaultSpecError("; ".join(problems))
         return cls(**data)
 
     def canonical_json(self) -> str:
@@ -174,6 +196,17 @@ class FaultSpec:
         if self.kind in MESSAGE_KINDS:
             return f"{self.kind} {self.target}#{self.index}"
         return f"{self.kind} {self.target} @t={self.time:g}"
+
+
+#: JSON type of every field, checked by :meth:`FaultSpec.from_dict`
+#: (a float field also takes an int), and the fields with no default.
+_FIELD_TYPES = {
+    f.name: {"str": str, "int": int, "float": float}[f.type]
+    for f in fields(FaultSpec)
+}
+_REQUIRED = tuple(
+    f.name for f in fields(FaultSpec) if f.default is MISSING
+)
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,10 @@ time.
 * :mod:`repro.sweep.config` — sweep cells (generator × cost model ×
   heuristic × seed), stable fingerprints, deterministic seed
   derivation, grid expansion;
-* :mod:`repro.sweep.engine` — the ``ProcessPoolExecutor`` fan-out with
-  result caching and PR 1 metrics instrumentation;
-* :mod:`repro.sweep.cache` — the fingerprint-keyed on-disk JSON cache;
+* :mod:`repro.sweep.engine` — :func:`run_sweep`: cache-hit lookup,
+  dedup and row assembly around the shared
+  :func:`repro.campaign.service.run_jobs` fan-out, with metrics
+  instrumentation;
 * :mod:`repro.sweep.table` — the canonical result table and the
   Section 5-style comparison report;
 * :mod:`repro.sweep.differential` — the cross-heuristic invariant
@@ -18,14 +19,16 @@ time.
 
 Quick tour::
 
-    from repro.sweep import ResultCache, expand_grid, run_sweep
+    from repro.campaign import CampaignStore
+    from repro.sweep import expand_grid, run_sweep
 
     grid = expand_grid(
         generators=("layered", "forkjoin"),
         heuristics=("greedy", "kl", "vulcan", "cosyma"),
         seeds=range(8),
     )
-    table = run_sweep(grid, workers=4, cache=ResultCache(".sweep-cache"))
+    table = run_sweep(grid, workers=4,
+                      cache=CampaignStore("sweep.sqlite"))
     print(table.comparison_report())
 """
 
@@ -36,18 +39,10 @@ from repro.sweep.config import (
     expand_grid,
     parse_seed_spec,
 )
-from repro.sweep.cache import (
-    CACHE_VERSION,
-    CacheVersionError,
-    ResultCache,
-)
 from repro.sweep.table import SweepResult
 from repro.sweep.engine import (
-    CellTiming,
-    PoolJobError,
     SweepCellError,
     SweepStats,
-    pool_map,
     run_cell,
     run_cell_observed,
     run_sweep,
@@ -66,15 +61,9 @@ __all__ = [
     "SweepConfig",
     "expand_grid",
     "parse_seed_spec",
-    "CACHE_VERSION",
-    "CacheVersionError",
-    "ResultCache",
     "SweepResult",
-    "CellTiming",
-    "PoolJobError",
     "SweepCellError",
     "SweepStats",
-    "pool_map",
     "run_cell",
     "run_cell_observed",
     "run_sweep",

@@ -1,7 +1,9 @@
 """The parallel experiment-sweep engine.
 
-``run_sweep`` fans a grid of :class:`repro.sweep.config.SweepConfig`
-cells across a ``ProcessPoolExecutor`` and assembles a
+``run_sweep`` hands the uncached cells of a grid of
+:class:`repro.sweep.config.SweepConfig` to
+:func:`repro.campaign.service.run_jobs` — a process pool, or the
+durable campaign service when a store is attached — and assembles a
 :class:`repro.sweep.table.SweepResult`.  Three properties make the
 numbers trustworthy at scale:
 
@@ -10,9 +12,10 @@ numbers trustworthy at scale:
   order, or wall-clock; and the result table is ordered by the input
   grid, not by completion order.  Identical grid + seeds ⇒
   byte-identical tables at any worker count.
-* **Caching** — an optional :class:`repro.sweep.cache.ResultCache`
-  (fingerprint-keyed JSON files) lets re-runs and incremental grid
-  extensions skip completed cells entirely.
+* **Caching** — an optional :class:`repro.campaign.store.CampaignStore`
+  (fingerprint-keyed results in one SQLite file) lets re-runs and
+  incremental grid extensions skip completed cells entirely, and makes
+  an interrupted sweep resumable.
 * **Observability** — progress and cache behaviour are counted in a
   :class:`repro.cosim.metrics.MetricsRegistry` (PR 1's layer), so tests
   can assert "this run recomputed nothing" instead of trusting timing;
@@ -32,14 +35,19 @@ observability payload travels next to the rows, never inside them.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.campaign.service import (
+    CampaignCellError,
+    CellTiming,
+    PoolJobError,
+    run_jobs,
+)
+from repro.campaign.store import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
 from repro.cosim.trace import Tracer
 from repro.obs.live import TelemetryEmitter
@@ -47,7 +55,6 @@ from repro.obs.spans import SpanTracer
 from repro.obs import convergence_sink
 from repro.partition import CostWeights, HEURISTICS, ProgressProbe
 from repro.sweep.config import SweepConfig
-from repro.sweep.cache import ResultCache
 from repro.sweep.table import SweepResult
 
 #: Trace-record kind emitted per completed/cached cell.
@@ -155,123 +162,13 @@ def run_cell_observed(
     return record, obs
 
 
-@dataclass(frozen=True)
-class CellTiming:
-    """Where one job's wall-clock went.
-
-    ``elapsed_s`` is measured *inside* the worker, around ``fn(job)``
-    alone; ``wait_s`` is the queue wait between submission and the
-    worker picking the job up.  The old single number started the
-    clock at submission, so "cell time" silently inflated with worker
-    count — a 4-worker sweep looked like it had 4x slower cells.
-    ``wait_s`` is ``None`` when the execution path has no submission
-    queue to measure (the campaign store's durable queue, for one).
-    """
-
-    elapsed_s: float
-    wait_s: Optional[float] = None
-
-
-class PoolJobError(RuntimeError):
-    """``fn(job)`` raised; carries which job so callers can name it.
-
-    Completions that arrived before the failure were already delivered
-    through ``on_done`` — nothing finished is lost.
-    """
-
-    def __init__(self, job: Any, cause: BaseException) -> None:
-        super().__init__(
-            f"pool job {job!r} failed: {type(cause).__name__}: {cause}"
-        )
-        self.job = job
-
-
-def _timed_call(fn: Callable[[Any], Any], submit_pc: float, job: Any):
-    """Worker-side wrapper: run the job and clock it *here*.
-
-    Returns ``(result, wait_s, elapsed_s)``.  ``perf_counter`` is
-    system-wide on Linux (CLOCK_MONOTONIC), the same property the span
-    tracer already relies on, so ``start - submit_pc`` measured across
-    the process boundary is a real queue wait.
-    """
-    start = time.perf_counter()
-    result = fn(job)
-    return result, start - submit_pc, time.perf_counter() - start
-
-
-def pool_map(
-    fn: Callable[[Any], Any],
-    jobs: List[Any],
-    workers: int,
-    on_done: Callable[[Any, Any, CellTiming], None],
-) -> None:
-    """Run ``fn(job)`` for every job and report each completion.
-
-    The process-pool fan-out extracted from :func:`run_sweep` so other
-    campaign runners (the fault-injection subsystem first among them)
-    reuse the identical execution discipline: ``workers == 1`` (or a
-    single job) runs in-process with no pool; more workers fan jobs
-    over a ``ProcessPoolExecutor``.  ``on_done(job, result, timing)``
-    fires in *completion* order — callers that need deterministic
-    output must key results by job identity, never by arrival order.
-    ``fn`` must be picklable (a top-level function or a
-    ``functools.partial`` of one).
-
-    A failing job raises :class:`PoolJobError` naming the job — after
-    every completion that beat it to the finish line has been
-    delivered, and with the remaining submissions cancelled.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or len(jobs) <= 1:
-        for job in jobs:
-            t0 = time.perf_counter()
-            try:
-                result = fn(job)
-            except Exception as exc:
-                raise PoolJobError(job, exc) from exc
-            on_done(job, result,
-                    CellTiming(time.perf_counter() - t0, 0.0))
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        submitted = {
-            pool.submit(_timed_call, fn, time.perf_counter(), job): job
-            for job in jobs
-        }
-        outstanding = set(submitted)
-        try:
-            while outstanding:
-                done, outstanding = wait(
-                    outstanding, return_when=FIRST_COMPLETED
-                )
-                failed = None
-                for future in done:
-                    job = submitted[future]
-                    exc = future.exception()
-                    if exc is not None:
-                        # deliver this round's successes first; then
-                        # fail on one deterministic representative
-                        if failed is None:
-                            failed = (job, exc)
-                        continue
-                    result, wait_s, elapsed_s = future.result()
-                    on_done(job, result, CellTiming(elapsed_s, wait_s))
-                if failed is not None:
-                    job, exc = failed
-                    raise PoolJobError(job, exc) from exc
-        except PoolJobError:
-            for future in outstanding:
-                future.cancel()
-            raise
-
-
 class SweepCellError(RuntimeError):
     """One sweep cell failed; names the cell and keeps what finished.
 
     ``fingerprint``/``heuristic`` identify the failing cell (the first
     thing a bug report needs); ``completed`` maps fingerprint → record
     for every cell that finished before the failure — those were also
-    written to the cache/store when one was attached, so a re-run
+    committed to the store when one was attached, so a re-run
     recomputes only the failed cell onward.
     """
 
@@ -315,7 +212,7 @@ class SweepStats:
 def run_sweep(
     configs: Iterable[SweepConfig],
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[CampaignStore] = None,
     weights: Optional[CostWeights] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
@@ -325,10 +222,13 @@ def run_sweep(
 ) -> SweepResult:
     """Run every cell of the grid; return the ordered result table.
 
-    ``workers=1`` runs in-process (no pool); ``workers>1`` fans the
-    uncached cells over a ``ProcessPoolExecutor``.  Duplicate configs in
-    the grid are computed once and the row repeated.  The returned
-    table carries a :class:`SweepStats` as ``.stats``.
+    Cells already in the ``cache`` store are served from it; the rest
+    go through :func:`~repro.campaign.service.run_jobs` — with no
+    store, ``workers=1`` runs in-process and ``workers>1`` fans over a
+    process pool; with one, the durable campaign service commits every
+    cell to it.  Duplicate configs in the grid are computed once and
+    the row repeated.  The returned table carries a
+    :class:`SweepStats` as ``.stats``.
 
     Attaching a ``span_tracer`` and/or ``probe`` switches cells to
     :func:`run_cell_observed`: per-cell spans recorded inside the
@@ -388,25 +288,19 @@ def run_sweep(
             pending.append(config)
             metrics.counter("sweep.cache.misses").inc()
 
-    #: a CampaignStore (duck-typed on its queue surface) switches the
-    #: fan-out from the in-memory pool to the durable, resumable
-    #: campaign service — the store commits results itself.
-    store_mode = cache is not None and hasattr(cache, "claim")
-
-    #: pool mode: the parent is the only writer, so it emits the run
-    #: marks and heartbeats itself (completions arrive here).  Store
-    #: mode hands the recorder to the campaign service instead — the
-    #: coordinator and shards each own their telemetry stream.
+    #: without a store the parent sees every completion, so it emits
+    #: the run marks and heartbeats itself; a store hands the recorder
+    #: to the campaign service (coordinator and shard streams) instead
     emitter = None
-    if recorder is not None and not store_mode:
+    if recorder is not None and cache is None:
         emitter = TelemetryEmitter(recorder, role="sweep")
         emitter.emit("run", event="start", cells=len(configs),
                      workers=workers)
 
-    def finish(config: SweepConfig, record: Dict[str, Any],
+    def finish(fingerprint: str, record: Dict[str, Any],
                timing: CellTiming,
-               obs: Optional[Dict[str, Any]] = None) -> None:
-        rows[config.fingerprint] = record
+               obs: Optional[Dict[str, Any]]) -> None:
+        rows[fingerprint] = record
         stats.computed += 1
         if emitter is not None:
             emitter.heartbeat(done=stats.computed + stats.cache_hits,
@@ -418,73 +312,32 @@ def run_sweep(
         if timing.wait_s is not None:
             metrics.histogram("sweep.cell.wait_s").observe(
                 timing.wait_s)
-        if cache is not None and not store_mode:
-            cache.put(config.fingerprint, record)
         if tracer is not None:
-            tracer.emit(SWEEP_CELL, config.fingerprint, time=0.0,
-                        cached=False, heuristic=config.heuristic,
+            tracer.emit(SWEEP_CELL, fingerprint, time=0.0,
+                        cached=False,
+                        heuristic=by_fingerprint[fingerprint].heuristic,
                         elapsed_s=timing.elapsed_s)
-        if obs is not None:
-            metrics.merge(obs["metrics"])
-            if span_tracer is not None:
-                lane = ("campaign shard" if store_mode
-                        else "sweep worker")
-                span_tracer.merge_snapshot(
-                    obs["spans"], lane=f"{lane} {obs['pid']}"
-                )
-            if probe is not None:
-                probe.extend_from_dicts(obs["probe"])
+        if obs is not None and probe is not None:
+            probe.extend_from_dicts(obs["probe"])
 
     by_fingerprint = {c.fingerprint: c for c in pending}
-    failure: Optional[Tuple[SweepConfig, BaseException]] = None
+    weights_dict = (dataclasses.asdict(weights)
+                    if weights is not None else None)
+    jobs = [(c.fingerprint,
+             {"config": c.to_dict(), "weights": weights_dict})
+            for c in pending]
     try:
-        if store_mode:
-            from repro.campaign.service import (
-                CampaignCellError, run_store_jobs,
-            )
-
-            weights_dict = (dataclasses.asdict(weights)
-                            if weights is not None else None)
-            payloads = [
-                (c.fingerprint,
-                 {"config": c.to_dict(), "weights": weights_dict})
-                for c in pending
-            ]
-
-            def on_committed(fingerprint: str, record: Dict[str, Any],
-                             obs: Optional[Dict[str, Any]],
-                             elapsed_s: float) -> None:
-                finish(by_fingerprint[fingerprint], record,
-                       CellTiming(elapsed_s), obs)
-
-            runner = "sweep_observed" if observed else "sweep"
-            try:
-                run_store_jobs(cache, runner, payloads, workers,
-                               on_committed, metrics=metrics,
-                               span_tracer=span_tracer,
-                               recorder=recorder)
-            except CampaignCellError as exc:
-                fingerprint = next(iter(sorted(exc.failures)))
-                failure = (by_fingerprint[fingerprint], exc)
-        else:
-            cell_fn = run_cell_observed if observed else run_cell
-
-            def on_done(config: SweepConfig, out: Any,
-                        timing: CellTiming) -> None:
-                record, obs = out if observed else (out, None)
-                finish(config, record, timing, obs)
-
-            try:
-                pool_map(functools.partial(cell_fn, weights=weights),
-                         pending, workers, on_done)
-            except PoolJobError as exc:
-                failure = (exc.job, exc.__cause__ or exc)
-        if failure is not None:
-            config, cause = failure
-            raise SweepCellError(
-                config.fingerprint, config.heuristic,
-                {fp: r for fp, r in rows.items() if r}, cause,
-            ) from cause
+        run_jobs("sweep", jobs, workers, finish, store=cache,
+                 metrics=metrics, span_tracer=span_tracer,
+                 recorder=recorder, observed=observed)
+    except (PoolJobError, CampaignCellError) as exc:
+        fingerprint = (exc.job[0] if isinstance(exc, PoolJobError)
+                       else min(exc.failures))
+        cause = exc.__cause__ or exc
+        raise SweepCellError(
+            fingerprint, by_fingerprint[fingerprint].heuristic,
+            {fp: r for fp, r in rows.items() if r}, cause,
+        ) from cause
     finally:
         # the fan-out must never leave the sweep span open or the
         # reserved {} placeholder rows masquerading as results

@@ -5,10 +5,12 @@ import pytest
 from repro.campaign import (
     CampaignCellError,
     CampaignStore,
+    PoolJobError,
     register_runner,
+    run_jobs,
     run_store_jobs,
 )
-from repro.campaign.runners import RUNNERS
+from repro.campaign.runners import RUNNERS, run_sweep_payload
 from repro.cosim.metrics import MetricsRegistry
 from repro.sweep import SweepCellError, expand_grid, run_cell, run_sweep
 
@@ -151,3 +153,38 @@ class TestRunSweepOnStore:
 
 def _sweep_boom(payload):
     raise RuntimeError("sweep cell exploded")
+
+
+def _tagged_sweep(payload):
+    record, obs = run_sweep_payload(payload)
+    return dict(record, runner="tagged"), obs
+
+
+class TestRunJobs:
+    def test_pool_and_store_run_the_same_registered_runner(self, store):
+        """Both execution modes resolve the runner by name from the
+        registry — overriding ``sweep`` changes the rows of each."""
+        grid = small_grid(heuristics=("greedy",))
+        register_runner("sweep", _tagged_sweep)
+        try:
+            pooled = run_sweep(grid, workers=1)
+            stored = run_sweep(grid, workers=1, cache=store)
+        finally:
+            register_runner("sweep", run_sweep_payload)
+        assert [r["runner"] for r in pooled] == ["tagged"] * len(grid)
+        assert [r["runner"] for r in stored] == ["tagged"] * len(grid)
+        assert pooled.to_json() == stored.to_json()
+        assert store.get(grid[0].fingerprint)["runner"] == "tagged"
+
+    def test_pool_failure_names_the_job(self):
+        register_runner("test_boom", _boom_runner)
+        try:
+            jobs = [("a" * 64, {"ok": True}), ("b" * 64, {"boom": True})]
+            done = {}
+            with pytest.raises(PoolJobError) as exc:
+                run_jobs("test_boom", jobs, workers=1,
+                         on_done=lambda fp, r, t, o: done.update({fp: r}))
+            assert exc.value.job[0] == "b" * 64
+            assert done == {"a" * 64: {"ok": True}}
+        finally:
+            del RUNNERS["test_boom"]

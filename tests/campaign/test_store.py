@@ -1,5 +1,5 @@
-"""Tests for the SQLite result store: ResultCache parity, migration,
-and multi-process write safety."""
+"""Tests for the SQLite result store: the result surface, migration
+from legacy cache directories, and multi-process write safety."""
 
 import json
 import multiprocessing
@@ -7,8 +7,7 @@ import os
 
 import pytest
 
-from repro.campaign import CampaignStore
-from repro.sweep import CACHE_VERSION, CacheVersionError, ResultCache
+from repro.campaign import CACHE_VERSION, CacheVersionError, CampaignStore
 
 RECORD = {"fingerprint": "f" * 64, "cost": 12.5, "hw_tasks": ["a", "b"]}
 
@@ -19,7 +18,7 @@ def store(tmp_path):
 
 
 class TestResultSurface:
-    """The store is a drop-in for ResultCache's cache surface."""
+    """The store's result surface: what ``cache=`` reads hits from."""
 
     def test_roundtrip(self, store):
         fp = "a" * 64
@@ -81,22 +80,30 @@ class TestResultSurface:
         assert path.exists()
 
 
+def _legacy_entry(directory, fp, record):
+    """One ``<fp>.json`` entry in the legacy cache-directory layout."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{fp}.json").write_text(json.dumps({
+        "version": CACHE_VERSION, "fingerprint": fp, "record": record,
+    }), encoding="utf-8")
+
+
 class TestMigration:
     def test_import_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "json")
         for i in range(4):
-            cache.put(f"{i}" * 64, {"cost": float(i)})
+            _legacy_entry(tmp_path / "json", f"{i}" * 64,
+                          {"cost": float(i)})
         store = CampaignStore(tmp_path / "store.sqlite")
-        assert store.import_cache(cache) == 4
+        assert store.import_cache(tmp_path / "json") == 4
         for i in range(4):
             assert store.get(f"{i}" * 64) == {"cost": float(i)}
 
     def test_import_skips_unreadable_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "json")
-        cache.put("a" * 64, RECORD)
-        cache.path_for("b" * 64).write_text("{corrupt", encoding="utf-8")
+        _legacy_entry(tmp_path / "json", "a" * 64, RECORD)
+        (tmp_path / "json" / f"{'b' * 64}.json").write_text(
+            "{corrupt", encoding="utf-8")
         store = CampaignStore(tmp_path / "store.sqlite")
-        assert store.import_cache(cache) == 1
+        assert store.import_cache(tmp_path / "json") == 1
         assert store.get("a" * 64) == RECORD
         assert store.get("b" * 64) is None
 

@@ -48,7 +48,7 @@ EXPECTED_MARKERS = {
 
 #: extra argv for an example's smoke run, given its output directory
 EXTRA_ARGS = {
-    "design_explore.py": lambda out: ["--cache", str(out / "cache")],
+    "design_explore.py": lambda out: ["--store", str(out / "dse.sqlite")],
     "obs_report.py": lambda out: ["--out", str(out)],
     "cosim_trace_ladder.py": lambda out: [str(out)],
 }

@@ -3,14 +3,15 @@
 ``run_campaign(..., batch=True)`` may only change wall clock, never a
 byte of the result: the full ``to_json()`` document — golden record,
 rows, histogram, by-kind table, figures of merit — must be identical
-batch on/off, cold/warm, at any cache fill.  These tests pin that at
-E18/E24 campaign shape (200 faults, seed 7) and cover the no-op paths
-(kernel-bound scenarios, store mode is exercised in
-``tests/campaign``).
+batch on/off, cold/warm, at any store fill, with or without a store.
+These tests pin that at E18/E24 campaign shape (200 faults, seed 7)
+and cover the no-op path (kernel-bound scenarios).
 """
 
 import pytest
 
+from repro.campaign import CampaignStore
+from repro.cosim.metrics import MetricsRegistry
 from repro.fault import (
     CPU_FLAGS,
     SCENARIOS,
@@ -21,7 +22,7 @@ from repro.fault import (
     run_sw_sweep,
     sample_faults,
 )
-from repro.sweep.cache import ResultCache
+from repro.fault.spec import CPU_KINDS
 
 E24_FAULTS = 200
 E24_SEED = 7
@@ -70,7 +71,7 @@ class TestBatchIdentity:
         yields the scalar document."""
         faults = swmac_faults(60)
         reference = run_campaign("swmac", faults).to_json()
-        cache = ResultCache(str(tmp_path / "cells.json"))
+        cache = CampaignStore(tmp_path / "cells.sqlite")
         run_campaign("swmac", faults[:30], batch=True, cache=cache)
         extended = run_campaign("swmac", faults, batch=True, cache=cache)
         assert extended.to_json() == reference
@@ -82,11 +83,28 @@ class TestBatchIdentity:
         """Cells cached by scalar runs must be indistinguishable from
         batch-computed ones — same fingerprints, same records."""
         faults = swmac_faults(30)
-        cache = ResultCache(str(tmp_path / "cells.json"))
+        cache = CampaignStore(tmp_path / "cells.sqlite")
         scalar = run_campaign("swmac", faults, cache=cache)
         batch = run_campaign("swmac", faults, batch=True, cache=cache)
         assert batch.to_json() == scalar.to_json()
         assert batch.stats.cache_hits == len(faults) + 1
+
+    def test_batch_runs_lanes_with_a_store(self, tmp_path):
+        """A store must not switch the batch tier off: golden + every
+        CPU fault runs as a lane, and the lanes land in the store."""
+        faults = swmac_faults(40)
+        scalar = run_campaign("swmac", faults)
+        store = CampaignStore(tmp_path / "cells.sqlite")
+        metrics = MetricsRegistry()
+        batch = run_campaign("swmac", faults, batch=True, cache=store,
+                             metrics=metrics)
+        lanes = 1 + len({fault.fingerprint for fault in faults
+                         if fault.kind in CPU_KINDS})
+        assert metrics.counter("fault.batch.lanes").value == lanes
+        assert batch.to_json() == scalar.to_json()
+        warm = run_campaign("swmac", faults, batch=True, cache=store)
+        assert warm.stats.computed == 0
+        assert warm.to_json() == scalar.to_json()
 
     def test_kernel_scenario_batch_flag_is_a_noop(self):
         faults = sample_faults(SCENARIOS["coproc"].targets, 12, seed=3)

@@ -18,8 +18,9 @@ from repro.fault import (
     run_scenario,
     sample_faults,
 )
+from repro.campaign import CampaignStore
+from repro.fault import campaign as campaign_module
 from repro.obs.spans import SpanTracer
-from repro.sweep import ResultCache
 
 
 GOLDEN = {"completed": True, "detected": False, "data": [1, 2, 3],
@@ -112,7 +113,7 @@ class TestCampaign:
         assert serial.to_json() == pooled.to_json()
 
     def test_cache_makes_reruns_incremental(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         faults = sample_faults(SCENARIOS["msgpipe"].targets, 6, seed=1)
         first = run_campaign("msgpipe", faults, cache=cache)
         assert first.stats.cache_hits == 0
@@ -164,6 +165,28 @@ class TestCampaign:
                      horizon=broken.horizon, build=build_broken))
         with pytest.raises(CampaignError, match="golden run"):
             run_campaign("broken", [])
+
+    def test_invalid_golden_closes_the_campaign_span(self, monkeypatch):
+        real_run_scenario = campaign_module.run_scenario
+
+        def golden_errors(scenario, fault=None):
+            record = real_run_scenario(scenario, fault)
+            if fault is None:
+                record = dict(record, error={"type": "RuntimeError",
+                                             "message": "golden broke"})
+            return record
+
+        monkeypatch.setattr(campaign_module, "run_scenario",
+                            golden_errors)
+        spans = SpanTracer()
+        faults = sample_faults(SCENARIOS["msgpipe"].targets, 2, seed=0)
+        with pytest.raises(CampaignError, match="golden run") as info:
+            run_campaign("msgpipe", faults, span_tracer=spans)
+        # ``info`` holds the traceback and so run_campaign's frame: a
+        # span that only garbage collection would close is still open
+        assert spans.open_spans == [], info.value
+        (campaign_span,) = spans.spans_named("campaign")
+        assert campaign_span.end >= campaign_span.start
 
     def test_dependability_table_mentions_every_kind_and_coverage(self):
         faults = sample_faults(SCENARIOS["msgpipe"].targets, 14, seed=3)

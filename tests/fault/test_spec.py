@@ -80,6 +80,34 @@ class TestFaultSpec:
                 "kind": "signal_flip", "target": "s", "severity": 9,
             })
 
+    @pytest.mark.parametrize("data,named", [
+        ({}, ["missing", "'kind'", "'target'"]),
+        ({"kind": "msg_drop"}, ["missing", "'target'"]),
+        ({"kind": "cpu_reg_flip", "target": "cpu", "index": "a"},
+         ["'index'", "int", "str"]),
+        ({"kind": 3, "target": None}, ["'kind'", "'target'", "str"]),
+        ({"kind": "reg_flip", "target": "mac", "time": "5"},
+         ["'time'", "float"]),
+        ({"kind": "reg_flip", "target": "mac", "bit": True},
+         ["'bit'", "bool"]),
+        ({"target": "cpu", "count": 1.5, "nope": 0},
+         ["unknown", "'nope'", "missing", "'kind'", "'count'"]),
+        (["cpu_reg_flip"], ["dict", "list"]),
+    ])
+    def test_from_dict_names_every_bad_field(self, data, named):
+        """Every job payload crosses from_dict: a malformed one must
+        fail with a FaultSpecError naming each problem, never a bare
+        TypeError from the constructor or a comparison."""
+        with pytest.raises(FaultSpecError) as exc:
+            FaultSpec.from_dict(data)
+        for fragment in named:
+            assert fragment in str(exc.value)
+
+    def test_from_dict_accepts_int_for_float_fields(self):
+        spec = FaultSpec.from_dict(
+            {"kind": "reg_flip", "target": "mac", "time": 5})
+        assert spec.time == 5
+
     def test_fingerprint_is_stable_and_discriminating(self):
         a = FaultSpec(kind="reg_flip", target="mac", index=2, bit=3,
                       time=100.0)

@@ -12,18 +12,16 @@ import time
 
 import pytest
 
+from repro.campaign import CampaignStore, PoolJobError, pool_map
 from repro.cosim.metrics import MetricsRegistry
 from repro.cosim.trace import Tracer
 from repro.obs.spans import SpanTracer
 from repro.partition import HEURISTICS
 from repro.sweep import (
-    PoolJobError,
-    ResultCache,
     SweepCellError,
     SweepConfig,
     SweepResult,
     expand_grid,
-    pool_map,
     run_cell,
     run_sweep,
 )
@@ -91,7 +89,7 @@ class TestDeterminism:
 class TestCaching:
     def test_second_run_is_fully_cached(self, tmp_path):
         grid = small_grid()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
 
         cold_metrics = MetricsRegistry()
         cold = run_sweep(grid, workers=1, cache=cache,
@@ -109,7 +107,7 @@ class TestCaching:
         assert warm.to_json() == cold.to_json()
 
     def test_incremental_grid_extension(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         base = small_grid(heuristics=("greedy",))
         run_sweep(base, workers=1, cache=cache)
 
@@ -124,7 +122,7 @@ class TestCaching:
 
     def test_parallel_run_populates_cache(self, tmp_path):
         grid = small_grid()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         run_sweep(grid, workers=2, cache=cache)
         assert len(cache) == len(grid)
         metrics = MetricsRegistry()
@@ -146,7 +144,7 @@ class TestObservability:
     def test_tracer_records_cells(self, tmp_path):
         grid = small_grid(heuristics=("greedy",))
         tracer = Tracer()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         run_sweep(grid, workers=1, cache=cache, tracer=tracer)
         cells = tracer.records_of("sweep_cell")
         assert len(cells) == len(grid)
@@ -264,7 +262,7 @@ class TestSweepCrashPath:
                                                    tmp_path):
         grid = self.grid()
         monkeypatch.setitem(HEURISTICS, "vulcan", _boom_heuristic)
-        cache = ResultCache(tmp_path / "cache")
+        cache = CampaignStore(tmp_path / "cache.sqlite")
         with pytest.raises(SweepCellError) as exc:
             run_sweep(grid, workers=1, cache=cache)
         err = exc.value
