@@ -401,8 +401,8 @@ class Simulator:
         # case at pin level) append here instead of paying heapq churn.
         # Invariant: every entry's time equals `now` — the lane is fully
         # drained (fired or skipped as stale) before time can advance,
-        # and step() interleaves the two lanes in global (time, seq)
-        # order so determinism is bit-identical to a single heap.
+        # and run()/step() interleave the two lanes in global
+        # (time, seq) order so determinism is bit-identical to a single heap.
         self._ready: "deque[Tuple[float, int, Process, Any, int]]" = deque()
         self._seq = 0
         self._procs: List[Process] = []
@@ -449,16 +449,6 @@ class Simulator:
                 self._queue, (self.now + delay, self._seq, proc, value, token)
             )
 
-    def _peek_time(self) -> Optional[float]:
-        """Model time of the next scheduled resumption, or ``None`` when
-        idle — the single horizon check shared by :meth:`run` and
-        :meth:`_run_watched` so the two loops cannot drift."""
-        if self._ready:
-            return self.now
-        if self._queue:
-            return self._queue[0][0]
-        return None
-
     def step(self) -> bool:
         """Run one scheduled resumption.  Returns False when idle.
 
@@ -470,17 +460,15 @@ class Simulator:
         ready = self._ready
         queue = self._queue
         while ready or queue:
-            if ready and (
-                not queue
-                or queue[0][0] > self.now
-                or (queue[0][0] == self.now and queue[0][1] > ready[0][1])
-            ):
+            # tuples compare by (time, seq); seq is unique, so the
+            # comparison never reaches the process
+            if ready and (not queue or queue[0] > ready[0]):
                 time, _seq, proc, value, token = ready.popleft()
             else:
                 time, _seq, proc, value, token = heapq.heappop(queue)
                 if time < self.now:
                     raise SimulationError("time went backwards")
-            if not proc.alive or token != proc._token:
+            if token != proc._token or not proc._alive:
                 continue
             self.now = time
             proc._resume(value, token)
@@ -498,55 +486,56 @@ class Simulator:
         a no-op: time never moves backwards.  An attached ``watchdog``
         raises :class:`HangDetected` when the run stalls (model time
         stuck while processes keep spinning) or overruns its wall-clock
-        budget; ``None`` (the default) keeps the loop exactly as cheap
-        as it was without the feature.
-        """
-        if watchdog is not None:
-            return self._run_watched(until, watchdog)
-        step = self.step
-        if until is None:
-            while step():
-                pass
-            return self.now
-        peek = self._peek_time
-        while True:
-            head = peek()
-            if head is None:
-                break
-            if head > until:
-                # advance to the horizon, but never rewind: an `until`
-                # in the past must not drag `now` backwards
-                self.now = max(self.now, until)
-                return self.now
-            if not step():
-                break
-        return self.now
+        budget; ``None`` (the default) skips that accounting.
 
-    def _run_watched(self, until: Optional[float], watchdog: Watchdog)\
-            -> float:
-        """The :meth:`run` loop with stall and wall-clock accounting."""
-        last_now = self.now
-        stalled = 0
-        steps = 0
-        deadline = (
-            None if watchdog.wall_clock_s is None
-            else time.perf_counter() + watchdog.wall_clock_s
-        )
-        while True:
-            head = self._peek_time()
-            if head is None:
-                break
-            if until is not None and head > until:
-                self.now = max(self.now, until)
-                return self.now
-            if not self.step():
-                break
+        One loop serves both cases.  It pops the globally next
+        ``(time, seq)`` entry itself, as :meth:`step` does, and drops
+        stale entries *before* the horizon check, so a wakeup abandoned
+        by an interrupt can never let the run resume past ``until``.
+        """
+        if until is not None and until < self.now:
+            return self.now
+        horizon = float("inf") if until is None else until
+        ready = self._ready
+        queue = self._queue
+        heappop = heapq.heappop
+        if watchdog is not None:
+            last_now = self.now
+            stalled = 0
+            steps = 0
+            limit = watchdog.max_stalled_activations
+            deadline = (
+                None if watchdog.wall_clock_s is None
+                else time.perf_counter() + watchdog.wall_clock_s
+            )
+        while ready or queue:
+            # ready entries sit at `now` <= horizon; only the heap can
+            # hold the entry that crosses it
+            if ready and (not queue or queue[0] > ready[0]):
+                _when, _seq, proc, value, token = ready.popleft()
+                if token != proc._token or not proc._alive:
+                    continue
+            else:
+                entry = heappop(queue)
+                when, _seq, proc, value, token = entry
+                if token != proc._token or not proc._alive:
+                    continue
+                if when > horizon:
+                    heapq.heappush(queue, entry)
+                    self.now = horizon
+                    return horizon
+                if when < self.now:
+                    raise SimulationError("time went backwards")
+                self.now = when
+            proc._resume(value, token)
+            if watchdog is None:
+                continue
             if self.now > last_now:
                 last_now = self.now
                 stalled = 0
             else:
                 stalled += 1
-                if stalled >= watchdog.max_stalled_activations:
+                if stalled >= limit:
                     raise HangDetected(
                         f"no model-time progress after {stalled} "
                         f"activations at t={self.now:g}; "

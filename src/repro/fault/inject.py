@@ -13,7 +13,8 @@ Each fault kind maps onto the narrowest hook its layer already offers:
 * ``signal_flip`` / ``reg_flip`` / ``proc_spin`` — a saboteur process
   scheduled at ``spec.time``;
 * ``cpu_*`` — a one-shot retirement observer on
-  :attr:`repro.isa.cpu.Cpu.observers`;
+  :attr:`repro.isa.cpu.Cpu.observers` that detaches itself when it
+  fires;
 * ``msg_*`` — a per-instance wrapper around ``Channel.send`` that
   drops, duplicates, delays, reorders, or corrupts the Nth message in
   transport (the class and every other channel stay untouched).
@@ -55,7 +56,11 @@ class System:
 
 
 class _CpuSaboteur:
-    """One-shot retirement observer implementing the ``cpu_*`` kinds."""
+    """One-shot retirement observer implementing the ``cpu_*`` kinds.
+
+    It removes itself from ``cpu.observers`` when it fires, so the rest
+    of the run goes back to the fast block loop (DESIGN §9).
+    """
 
     __slots__ = ("cpu", "spec", "retired", "fired")
 
@@ -73,6 +78,8 @@ class _CpuSaboteur:
             return
         self.fired = True
         spec, cpu = self.spec, self.cpu
+        if self in cpu.observers:
+            cpu.observers.remove(self)
         if spec.kind == "cpu_reg_flip":
             cpu.regs[spec.index] ^= (1 << spec.bit)
             cpu.regs[spec.index] &= MASK32
@@ -220,10 +227,11 @@ class FaultInjector:
         """Remove every hook :meth:`arm` installed that is removable
         without rewinding the simulator.
 
-        CPU saboteurs leave ``cpu.observers`` — which re-engages the
-        interpreted fast block loop (DESIGN §9) on the very next
-        ``run_block`` call; message saboteurs unwrap, restoring the
-        channel's original ``send`` even when several were stacked.
+        CPU saboteurs that have not fired yet leave ``cpu.observers``
+        — which re-engages the interpreted fast block loop (DESIGN §9)
+        on the very next ``run_block`` call (fired ones have already
+        left); message saboteurs unwrap, restoring the channel's
+        original ``send`` even when several were stacked.
         Time-triggered saboteur *processes* (``signal_flip``,
         ``reg_flip``, ``proc_spin``) already belong to the kernel's
         run queue and are left to expire on their own.  Idempotent.

@@ -172,12 +172,11 @@ class MacDevice(RegisterDevice):
 def _build_coproc(
     sim: Simulator,
 ) -> Tuple[System, Callable[[], Dict[str, Any]]]:
-    from repro.isa.assembler import assemble
     from repro.isa.cpu import Cpu
-    from repro.isa.instructions import Isa
 
-    cpu = Cpu(Isa())
-    cpu.memory.load_image(assemble(COPROC_ASM).image)
+    isa, image = _program(COPROC_ASM)
+    cpu = Cpu(isa)
+    cpu.memory.load_image(image)
     plane = Backplane(sim, cpu, clock_period=10.0, batch_instructions=4)
 
     fifo = FifoDevice(sim, "rx", depth=16, access_time=2.0)
@@ -343,27 +342,46 @@ agree:  sw   r5, {SW_OUT_BASE + 2}(r0) ; agreement verdict
         halt
 """
 
-_SW_IMAGES: Dict[str, Dict[int, int]] = {}
+#: source (and seed address) -> (Isa, its version when cached, image)
+_PROGRAMS: Dict[
+    Tuple[str, Optional[int]], Tuple[Any, int, Dict[int, int]]
+] = {}
 
 
-def _sw_image(scenario: Scenario) -> Dict[int, int]:
-    """The assembled image of a software scenario (memoized by name)."""
-    image = _SW_IMAGES.get(scenario.name)
-    if image is None:
-        from repro.isa.assembler import assemble
+def _program(
+    source: str, seed_addr: Optional[int] = None
+) -> Tuple[Any, Dict[int, int]]:
+    """The assembled image of ``source`` and the one ``Isa`` its cells
+    share, built once per process.
 
-        image = dict(assemble(scenario.software.source).image)
-        image.setdefault(scenario.software.seed_addr, SW_SEED)
-        _SW_IMAGES[scenario.name] = image
-    return image
+    Cells never share RAM: ``Memory.load_image`` and ``BatchCpu`` copy
+    the image.  Sharing the ``Isa`` shares its decode memo; an entry
+    whose ``Isa.version`` has moved since it was cached is rebuilt.  A
+    software workload passes its ``seed_addr``, which holds the golden
+    input :data:`SW_SEED` unless the program itself stores a word there.
+    """
+    key = (source, seed_addr)
+    cached = _PROGRAMS.get(key)
+    if cached is not None and cached[0].version == cached[1]:
+        return cached[0], cached[2]
+    from repro.isa import assembler
+    from repro.isa.instructions import Isa
+
+    isa = Isa()
+    image = dict(assembler.assemble(source, isa).image)
+    if seed_addr is not None:
+        image.setdefault(seed_addr, SW_SEED)
+    _PROGRAMS[key] = (isa, isa.version, image)
+    return isa, image
 
 
 def _build_sw_cpu(scenario: Scenario) -> Any:
     from repro.isa.cpu import Cpu
-    from repro.isa.instructions import Isa
 
-    cpu = Cpu(Isa())
-    cpu.memory.load_image(_sw_image(scenario))
+    sw = scenario.software
+    isa, image = _program(sw.source, sw.seed_addr)
+    cpu = Cpu(isa)
+    cpu.memory.load_image(image)
     return cpu
 
 
@@ -476,12 +494,13 @@ def run_sw_batch(
     :class:`~repro.isa.BatchStats`.
     """
     from repro.isa import BatchCpu
-    from repro.isa.instructions import Isa
 
     for fault in faults:
         if fault is not None:
             _sw_arm_check(scenario, fault)
-    batch = BatchCpu(Isa(), _sw_image(scenario), n_lanes=len(faults))
+    sw = scenario.software
+    batch = BatchCpu(*_program(sw.source, sw.seed_addr),
+                     n_lanes=len(faults))
     for lane, fault in enumerate(faults):
         if fault is not None:
             batch.arm(lane, fault)
@@ -502,10 +521,10 @@ def run_sw_sweep(
     scalar run with ``seeds[i]`` poked into the image.
     """
     from repro.isa import BatchCpu
-    from repro.isa.instructions import Isa
 
     sw = scenario.software
-    batch = BatchCpu(Isa(), _sw_image(scenario), n_lanes=len(seeds))
+    batch = BatchCpu(*_program(sw.source, sw.seed_addr),
+                     n_lanes=len(seeds))
     for lane, seed in enumerate(seeds):
         batch.seed_lane(lane, sw.seed_addr, seed & MASK32)
     exits = batch.run(sw.budget)

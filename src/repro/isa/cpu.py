@@ -287,7 +287,10 @@ class Cpu:
     def _retire(self, pc: int, instr: Instruction, cycles: int) -> None:
         self.instr_count += 1
         self.cycle_count += cycles
-        for observer in self.observers:
+        # a snapshot: an observer may detach itself (a fired fault
+        # saboteur, Profiler.detach()) without the next one missing
+        # this instruction
+        for observer in tuple(self.observers):
             observer(pc, instr)
 
     def run(
@@ -552,10 +555,15 @@ class Cpu:
     def _run_block_slow(self, max_steps: int) \
             -> Tuple[int, int, Optional[ExternalAccess]]:
         """:meth:`run_block` semantics over plain :meth:`step` calls —
-        the automatic fallback while observers are armed."""
+        the automatic fallback while observers are armed.  Once the last
+        observer detaches mid-block, the rest of the block runs on
+        :meth:`_run_block_fast`."""
         steps = 0
         cycles = 0
         while steps < max_steps and not self.halted:
+            if not self.observers:
+                ran, more, access = self._run_block_fast(max_steps - steps)
+                return steps + ran, cycles + more, access
             result = self.step()
             steps += 1
             if isinstance(result, ExternalAccess):

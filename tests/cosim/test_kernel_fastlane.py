@@ -62,8 +62,8 @@ scripts_st = st.lists(
     st.lists(op_st, min_size=1, max_size=6), min_size=1, max_size=5)
 
 
-def run_workload(sim_cls, scripts):
-    """Execute the scripted workload; return the full resume log."""
+def build_workload(sim_cls, scripts):
+    """Spawn the scripted workload; return ``(sim, log)`` unrun."""
     sim = sim_cls()
     events = [sim.event(f"e{i}") for i in range(N_EVENTS)]
     resource = Resource(sim, "res")
@@ -118,7 +118,12 @@ def run_workload(sim_cls, scripts):
             return result
 
         procs[pid] = sim.process(wrapper(), name=f"p{pid}")
+    return sim, log
 
+
+def run_workload(sim_cls, scripts):
+    """Execute the scripted workload; return the full resume log."""
+    sim, log = build_workload(sim_cls, scripts)
     final = sim.run()
     return log, final, sim.activations, sim.now
 
@@ -202,6 +207,60 @@ class TestRunHorizon:
         sim.run(until=6.0)
         assert sim.run(until=2.0) == 6.0
         assert sim.now == 6.0
+
+    @pytest.mark.parametrize("watched", [False, True])
+    @pytest.mark.parametrize("sim_cls", [Simulator, _HeapOnlySimulator])
+    def test_stale_head_does_not_let_run_pass_until(self, sim_cls,
+                                                    watched):
+        """A timeout abandoned by an interrupt stays queued at t=5 as a
+        stale entry; it must be dropped before the horizon check, not
+        let ``run(until=10)`` resume the live t=50 wakeup behind it."""
+        sim = sim_cls()
+        woke = []
+
+        def sleeper():
+            try:
+                yield sim.timeout(5.0)
+            except Interrupt:
+                yield sim.timeout(50.0)
+                woke.append(sim.now)
+
+        proc = sim.process(sleeper(), name="sleeper")
+
+        def kicker():
+            proc.interrupt()
+            yield sim.timeout(0.0)
+
+        sim.process(kicker(), name="kicker")
+        watchdog = Watchdog() if watched else None
+        assert sim.run(until=10.0, watchdog=watchdog) == 10.0
+        assert sim.now == 10.0
+        assert woke == []
+        assert sim.run(watchdog=watchdog) == 50.0
+        assert woke == [50.0]
+
+    @settings(max_examples=40, **COMMON)
+    @given(scripts=scripts_st,
+           t1=st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0, 9.5]),
+           extra=st.sampled_from([0.0, 0.5, 3.0, 7.0, 20.0]))
+    def test_split_run_matches_single_run(self, scripts, t1, extra):
+        """Running to T1 and then to T2 resumes exactly what one run to
+        T2 does, and nothing after the horizon."""
+        t2 = t1 + extra
+        outcomes = []
+        for sim_cls in (Simulator, _HeapOnlySimulator):
+            split, split_log = build_workload(sim_cls, scripts)
+            split.run(until=t1)
+            split.run(until=t2)
+            whole, whole_log = build_workload(sim_cls, scripts)
+            whole.run(until=t2)
+            assert split_log == whole_log
+            assert (split.now, split.activations) == (
+                whole.now, whole.activations)
+            assert whole.now <= t2
+            assert all(entry[3] <= t2 for entry in whole_log)
+            outcomes.append((whole_log, whole.now, whole.activations))
+        assert outcomes[0] == outcomes[1]
 
     def test_until_now_with_ready_entries_fires_them(self):
         """Entries in the zero-delay lane sit at the current time, so a

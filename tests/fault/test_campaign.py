@@ -233,3 +233,54 @@ class TestCoprocCampaign:
         result = run_campaign("coproc", faults)
         hist = result.histogram()
         assert all(hist[outcome] > 0 for outcome in OUTCOMES), hist
+
+
+class TestProgramMemo:
+    """Each scenario's program is assembled once per process and its
+    cells share one ``Isa`` (``repro.fault.scenarios._program``)."""
+
+    @pytest.fixture
+    def counted_assemble(self, monkeypatch):
+        from repro.fault import scenarios
+        from repro.isa import assembler
+
+        monkeypatch.setattr(scenarios, "_PROGRAMS", {})
+        calls = []
+        real = assembler.assemble
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(assembler, "assemble", counting)
+        return calls
+
+    def test_two_coproc_cells_assemble_once(self, counted_assemble):
+        first = run_scenario("coproc")
+        second = run_scenario("coproc")
+        assert len(counted_assemble) == 1
+        assert first == second
+
+    def test_cells_do_not_write_the_memoized_image(self, counted_assemble):
+        from repro.fault import scenarios
+
+        swmac = SCENARIOS["swmac"]
+        _isa, image = scenarios._program(swmac.software.source,
+                                         swmac.software.seed_addr)
+        before = dict(image)
+        golden = run_scenario("swmac")  # stores its output window to RAM
+        assert golden["completed"]
+        scenarios.run_sw_batch(swmac, [None, None])
+        assert image == before
+        assert swmac.software.out_base not in image
+        assert len(counted_assemble) == 1
+
+    def test_moved_isa_version_rebuilds_the_entry(self, counted_assemble):
+        from repro.fault import scenarios
+
+        isa, _image = scenarios._program(scenarios.COPROC_ASM)
+        assert scenarios._program(scenarios.COPROC_ASM)[0] is isa
+        isa.version += 1  # as add_custom / a cycle-table edit would
+        fresh, _image = scenarios._program(scenarios.COPROC_ASM)
+        assert fresh is not isa
+        assert len(counted_assemble) == 2

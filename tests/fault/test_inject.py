@@ -15,17 +15,21 @@ from repro.cosim.msglevel import Channel
 from repro.cosim.signals import Signal
 from repro.cosim.translevel import RegisterDevice
 from repro.fault import (
+    DEFAULT_WATCHDOG,
+    SCENARIOS,
     FaultInjector,
     FaultSpec,
     InjectionError,
     System,
     arm_fault,
     run_scenario,
+    sample_faults,
 )
 from repro.fault import inject as inject_mod
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu
 from repro.isa.instructions import Isa
+from tests.isa.test_profiler_detach import forbid_slow_path
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +132,9 @@ class TestCpuFaults:
             FaultSpec(kind="cpu_reg_flip", target="cpu", index=1,
                       bit=0, count=1))
         cpu.run()
-        (saboteur,) = cpu.observers
+        ((_kind, saboteur),) = injector._hooks
         assert saboteur.fired
+        assert not cpu.observers  # a fired saboteur detaches itself
         assert injector.armed  # the spec stayed registered
         # one flip of bit 0 at r1==0 -> 1, then four increments -> 5
         assert cpu.regs[1] == 5
@@ -145,6 +150,71 @@ class TestCpuFaults:
             arm_fault(System(Simulator(), cpu=_fresh_cpu()),
                       FaultSpec(kind="cpu_reg_flip", target="cpu",
                                 index=16, count=1))
+
+
+class TestFiredSaboteurDetaches:
+    """A fired ``cpu_*`` saboteur leaves ``cpu.observers``, so the rest
+    of a coproc cell runs on the fast block loop (DESIGN §9)."""
+
+    @staticmethod
+    def _cell(fault, keep_step_loop):
+        """One coproc cell, recorded as ``run_scenario`` records it.
+
+        ``keep_step_loop`` attaches a no-op observer for the whole run,
+        so every instruction retires through ``step()``; otherwise the
+        slow path is forbidden as soon as the saboteur has fired."""
+        scenario = SCENARIOS["coproc"]
+        sim = Simulator()
+        system, summarize = scenario.build(sim)
+        injector = FaultInjector(system)
+        injector.arm(fault)
+        ((_kind, saboteur),) = injector._hooks
+        cpu = system.cpu
+        if keep_step_loop:
+            cpu.observers.append(lambda pc, instr: None)
+        else:
+            slow = cpu._run_block_slow
+
+            def guarded(max_steps):
+                result = slow(max_steps)
+                if saboteur.fired:
+                    assert not cpu.observers
+                    forbid_slow_path(cpu)
+                return result
+
+            cpu._run_block_slow = guarded
+        error = None
+        try:
+            sim.run(until=scenario.horizon, watchdog=DEFAULT_WATCHDOG)
+        except Exception as exc:
+            error = {"type": type(exc).__name__, "message": str(exc)[:200]}
+        record = summarize()
+        record.update(scenario="coproc", error=error, sim_time=sim.now,
+                      activations=sim.activations)
+        return record, saboteur.fired
+
+    def test_detached_remainder_matches_step_loop_run(self):
+        faults = [
+            f for f in sample_faults(SCENARIOS["coproc"].targets, 80,
+                                     seed=3)
+            if f.kind.startswith("cpu_")
+        ]
+        fired = 0
+        records = []
+        for fault in faults:
+            fast, was_fired = self._cell(fault, keep_step_loop=False)
+            slow, _ = self._cell(fault, keep_step_loop=True)
+            assert fast == slow, fault
+            assert run_scenario("coproc", fault) == fast, fault
+            fired += was_fired
+            records.append(fast)
+        assert fired >= len(faults) // 2
+        # completed, crashed, and run-to-the-horizon cells are covered
+        assert any(r["completed"] for r in records)
+        assert any((r["error"] or {}).get("type") == "CpuError"
+                   for r in records)
+        assert any(r["sim_time"] == SCENARIOS["coproc"].horizon
+                   for r in records)
 
 
 # ----------------------------------------------------------------------

@@ -155,6 +155,26 @@ class TestDetach:
         assert profiler.report()  # still renders
 
 
+class TestDetachDuringRetire:
+    def test_detach_from_inside_an_observer_skips_no_one(self):
+        """An observer that detaches the profiler mid-retire shrinks
+        ``cpu.observers`` while ``_retire`` is walking it; the observer
+        after it must still see every instruction."""
+        isa = Isa()
+        prog = assemble(
+            "addi r1, r0, 1\naddi r2, r0, 2\naddi r3, r0, 3\nhalt", isa
+        )
+        cpu = Cpu(isa)
+        cpu.memory.load_image(prog.image)
+        profiler = Profiler(cpu)
+        seen = []
+        cpu.observers.append(lambda pc, instr: profiler.detach())
+        cpu.observers.append(lambda pc, instr: seen.append(pc))
+        cpu.run()
+        assert seen == [0, 1, 2, 3]
+        assert profiler.total_instructions == 1
+
+
 class TestContextManager:
     def test_with_block_detaches_on_exit(self):
         cpu = make_cpu()
