@@ -3,8 +3,8 @@
 The batch tier (:mod:`repro.isa.batch`) executes a whole fault
 campaign's lanes as columns of one structure-of-arrays machine
 (DESIGN §14).  This benchmark prices it against the scalar campaign —
-every cell a separate ``Cpu`` on the default ``run_block``/``step``
-tiers — on the E24 workload: the ``swmac`` software-only scenario at
+every cell a separate ``Cpu`` on the scalar interpreter loop — on
+the E24 workload: the ``swmac`` software-only scenario at
 E18 campaign shape (200 faults, seed 7).
 
 * **throughput** — interleaved A/B rounds (scalar campaign, then

@@ -96,6 +96,16 @@ def _step_loop(cpu):
     return cpu.instr_count
 
 
+def _decode_every_step_loop(cpu):
+    """The baseline's step loop: ``step()`` runs on the CPU's operand
+    cache, so empty it before every step to make each one decode."""
+    ops = cpu._ops
+    while not cpu.halted:
+        ops.clear()
+        cpu.step()
+    return cpu.instr_count
+
+
 def measure(limit=LIMIT, repeats=REPEATS):
     """Time the three executors and the two decode paths."""
     # --- decode: uncached reference vs memo table -------------------
@@ -118,13 +128,15 @@ def measure(limit=LIMIT, repeats=REPEATS):
 
     # --- execution: uncached-step baseline, cached step, run_block --
     n_instr, baseline_s = _best_of(
-        repeats, lambda: _step_loop(_build(limit, _UncachedIsa())))
+        repeats,
+        lambda: _decode_every_step_loop(_build(limit, _UncachedIsa())))
     _, step_s = _best_of(repeats, lambda: _step_loop(_build(limit)))
     _, block_s = _best_of(repeats, lambda: _build(limit).run())
 
     # all three executors retire the identical instruction stream
-    for executor in (lambda: _step_loop(_build(limit, _UncachedIsa())),
-                     lambda: _step_loop(_build(limit))):
+    for executor in (
+            lambda: _decode_every_step_loop(_build(limit, _UncachedIsa())),
+            lambda: _step_loop(_build(limit))):
         assert executor() == n_instr
     cpu = _build(limit)
     cpu.run()

@@ -183,8 +183,8 @@ class Backplane:
 
     def _drive(self) -> Generator:
         # Each run_block() call retires a run of internal instructions in
-        # one Python frame (fast path; falls back to step() semantics
-        # when observers are armed).  `steps` counts step()-equivalents
+        # one Python frame, observers or not (step() is the same loop
+        # run for one instruction).  `steps` counts step()-equivalents
         # — retired instructions, taken IRQs, and the deferred access —
         # so the batch budget, and therefore the exact sequence of
         # timeouts and adapter activations, is identical to the old

@@ -59,7 +59,7 @@ class _CpuSaboteur:
     """One-shot retirement observer implementing the ``cpu_*`` kinds.
 
     It removes itself from ``cpu.observers`` when it fires, so the rest
-    of the run goes back to the fast block loop (DESIGN §9).
+    of the run pays no observer call per retirement (DESIGN §9).
     """
 
     __slots__ = ("cpu", "spec", "retired", "fired")
@@ -227,10 +227,10 @@ class FaultInjector:
         """Remove every hook :meth:`arm` installed that is removable
         without rewinding the simulator.
 
-        CPU saboteurs that have not fired yet leave ``cpu.observers``
-        — which re-engages the interpreted fast block loop (DESIGN §9)
-        on the very next ``run_block`` call (fired ones have already
-        left); message saboteurs unwrap, restoring the channel's
+        CPU saboteurs that have not fired yet leave ``cpu.observers``,
+        so the next ``run_block`` call stops calling them (fired ones
+        have already left; DESIGN §9); message saboteurs unwrap,
+        restoring the channel's
         original ``send`` even when several were stacked.
         Time-triggered saboteur *processes* (``signal_flip``,
         ``reg_flip``, ``proc_spin``) already belong to the kernel's

@@ -6,7 +6,8 @@ processor end to end:
 
 * :mod:`repro.isa.instructions` — the R32 ISA definition and binary
   encoding, including a reserved *custom-instruction* opcode space used
-  by the ASIP tools (Section 4.3/4.4 of the paper);
+  by the ASIP tools (Section 4.3/4.4 of the paper), and the one table
+  of data-path semantics both execution tiers share;
 * :mod:`repro.isa.assembler` — a two-pass assembler with labels, data
   directives, and pseudo-instructions;
 * :mod:`repro.isa.cpu` — a cycle-counting functional CPU model with

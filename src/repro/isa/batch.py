@@ -38,7 +38,12 @@ Armed faults (the ``cpu_*`` kinds of :mod:`repro.fault.spec`) execute
 on the lane's column at exactly the retirement the scalar saboteur
 would fire, after which the lane keeps running vectorized — this is
 where the campaign speedup comes from, since the scalar engine must
-run every armed lane on the instruction-granular observer path.
+interpret every lane's shared prefix again, one instruction at a time.
+
+The data path comes from the one semantics table,
+:data:`repro.isa.instructions.SEMANTICS`, whose entries are valid on
+the lanes' ``int64`` columns; only control flow, memory and the
+divergence drains are written here.
 """
 
 from __future__ import annotations
@@ -49,7 +54,13 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.isa.cpu import Cpu, Memory
-from repro.isa.instructions import MASK32, N_REGS, Isa
+from repro.isa.instructions import (
+    CUSTOM_BASE,
+    MASK32,
+    N_REGS,
+    SEMANTICS,
+    Isa,
+)
 
 __all__ = ["BatchCpu", "BatchStats", "LaneExit"]
 
@@ -61,11 +72,6 @@ _NO_TRIG = int(np.iinfo(np.int64).max)
 _CPU_KINDS = ("cpu_reg_flip", "cpu_pc_flip", "cpu_flag_flip")
 
 _BRANCHES = (0x40, 0x41, 0x42, 0x43)
-
-
-def _sx(x):
-    """Reinterpret masked 32-bit values as signed (arrays or ints)."""
-    return x - ((x >> 31) << 32)
 
 
 @dataclass
@@ -328,9 +334,10 @@ class BatchCpu:
     def _fire_triggers(self) -> None:
         """Fire every armed fault due at the just-retired instruction.
 
-        Mirrors the scalar saboteur's timing exactly: ``_execute`` has
-        already advanced ``pc``, so a pc flip xors the *next* pc, and a
-        register flip lands after the instruction's own writeback.
+        Mirrors the scalar saboteur's timing exactly: the scalar loop
+        has already committed the next ``pc`` when observers run, so a
+        pc flip xors the *next* pc, and a register flip lands after the
+        instruction's own writeback.
         """
         steps = self.steps
         cols = np.nonzero(self.trig == steps)[0]
@@ -396,11 +403,11 @@ class BatchCpu:
             entry = (
                 instr.opcode, instr.rd, instr.rs1, instr.rs2,
                 instr.imm, self._cycle_table[instr.opcode],
-                self.isa.custom(instr.opcode) is not None,
+                SEMANTICS.get(instr.opcode),
             )
             self._ops[word] = entry
-        op, rd, rs1, rs2, imm, cyc, is_custom = entry
-        if is_custom:
+        op, rd, rs1, rs2, imm, cyc, fn = entry
+        if op >= CUSTOM_BASE:
             # stateful semantics must run exactly once per lane —
             # scalar-side only
             self._exit_all("custom")
@@ -430,12 +437,25 @@ class BatchCpu:
         next_pc = pc + 1
         extra = 0
 
-        if op == 0x20:  # ADDI
+        if fn is not None:  # ALU, DIV/MOD
+            if op == 0x04 or op == 0x05:
+                if rs2 == 0:
+                    # zero divisor on every lane: the scalar tiers
+                    # raise the exact CpuError
+                    self._exit_all("div")
+                    return
+                zero = regs[rs2] == 0
+                if zero.any():
+                    self._drain([
+                        (int(c), "div", pc, False)
+                        for c in np.nonzero(zero)[0]
+                    ])
+                    if not self._m:
+                        return
+                    regs = self.regs
+                    a = regs[rs1] if rs1 else 0
             if rd:
-                regs[rd] = (a + imm) & _M
-        elif op == 0x01:  # ADD
-            if rd:
-                regs[rd] = (a + (regs[rs2] if rs2 else 0)) & _M
+                regs[rd] = fn(a, regs[rs2] if rs2 else 0, imm)
         elif op in _BRANCHES:  # BEQ/BNE/BLT/BGE
             lhs = regs[rd] if rd else 0
             if op == 0x40:
@@ -443,7 +463,9 @@ class BatchCpu:
             elif op == 0x41:
                 t = lhs != a
             else:
-                sl, sa = _sx(lhs), _sx(a)
+                # flipping the sign bit maps signed order onto the
+                # unsigned order of the masked values
+                sl, sa = lhs ^ 0x80000000, a ^ 0x80000000
                 t = (sl < sa) if op == 0x42 else (sl >= sa)
             if t is True or t is False:
                 taken = t
@@ -520,92 +542,6 @@ class BatchCpu:
                 else np.zeros(self._m, dtype=np.int64)
             )
             self.stores += 1
-        elif op == 0x02:  # SUB
-            if rd:
-                regs[rd] = (a - (regs[rs2] if rs2 else 0)) & _M
-        elif op == 0x03:  # MUL
-            if rd:
-                regs[rd] = (a * (regs[rs2] if rs2 else 0)) & _M
-        elif op in (0x04, 0x05):  # DIV / MOD
-            if rs2 == 0:
-                # zero divisor on every lane: the scalar tiers raise
-                # the exact CpuError
-                self._exit_all("div")
-                return
-            b = regs[rs2]
-            zero = b == 0
-            if zero.any():
-                self._drain([
-                    (int(c), "div", pc, False)
-                    for c in np.nonzero(zero)[0]
-                ])
-                if not self._m:
-                    return
-                regs = self.regs
-                a = regs[rs1] if rs1 else 0
-                b = regs[rs2]
-            sa, sb = _sx(a), _sx(b)
-            if op == 0x04:
-                q = np.abs(sa) // np.abs(sb)
-                v = np.where((sa >= 0) == (sb >= 0), q, -q) & _M
-            else:
-                r = np.abs(sa) % np.abs(sb)
-                v = np.where(sa >= 0, r, -r) & _M
-            if rd:
-                regs[rd] = v
-        elif op == 0x06:  # AND
-            if rd:
-                regs[rd] = a & (regs[rs2] if rs2 else 0)
-        elif op == 0x07:  # OR
-            if rd:
-                regs[rd] = a | (regs[rs2] if rs2 else 0)
-        elif op == 0x08:  # XOR
-            if rd:
-                regs[rd] = a ^ (regs[rs2] if rs2 else 0)
-        elif op == 0x09:  # SLL
-            if rd:
-                regs[rd] = (
-                    a << ((regs[rs2] if rs2 else 0) & 31)
-                ) & _M
-        elif op == 0x0A:  # SRL
-            if rd:
-                regs[rd] = (a & _M) >> (
-                    (regs[rs2] if rs2 else 0) & 31
-                )
-        elif op == 0x0B:  # SRA
-            if rd:
-                regs[rd] = (
-                    _sx(a) >> ((regs[rs2] if rs2 else 0) & 31)
-                ) & _M
-        elif op == 0x0C:  # SLT
-            if rd:
-                regs[rd] = _sx(a) < _sx(regs[rs2] if rs2 else 0)
-        elif op == 0x0D:  # SLTU
-            if rd:
-                regs[rd] = (a & _M) < (
-                    (regs[rs2] if rs2 else 0) & _M
-                )
-        elif op == 0x21:  # ANDI
-            if rd:
-                regs[rd] = a & (imm & 0xFFFF)
-        elif op == 0x22:  # ORI
-            if rd:
-                regs[rd] = (a | (imm & 0xFFFF)) & _M
-        elif op == 0x23:  # XORI
-            if rd:
-                regs[rd] = (a ^ (imm & 0xFFFF)) & _M
-        elif op == 0x24:  # SLLI
-            if rd:
-                regs[rd] = (a << (imm & 31)) & _M
-        elif op == 0x25:  # SRLI
-            if rd:
-                regs[rd] = (a & _M) >> (imm & 31)
-        elif op == 0x26:  # SLTI
-            if rd:
-                regs[rd] = _sx(a) < imm
-        elif op == 0x27:  # LUI
-            if rd:
-                regs[rd] = ((imm & 0xFFFF) << 16) & _M
         elif op == 0x50:  # J
             next_pc = imm
         elif op == 0x51:  # JAL

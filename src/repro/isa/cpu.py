@@ -29,17 +29,12 @@ from repro.isa.instructions import (
     Isa,
     MASK32,
     N_REGS,
-    Opcode,
+    SEMANTICS,
 )
 
 
 class CpuError(RuntimeError):
     """Raised for illegal instructions or execution faults."""
-
-
-def _signed(x: int) -> int:
-    x &= MASK32
-    return x - 0x100000000 if x & 0x80000000 else x
 
 
 @dataclass
@@ -193,9 +188,9 @@ class Cpu:
         self._pending: Optional[Tuple[int, Instruction, ExternalAccess]] = None
         #: observers called as fn(pc, instr) after each retired instruction
         self.observers: List[Callable[[int, Instruction], None]] = []
-        # fast-path operand cache: word -> (opcode, rd, rs1, rs2, imm,
-        # cycles, Instruction, custom-semantics-or-None), invalidated
-        # whenever the ISA's version changes (custom ops, cycle edits)
+        # operand cache: word -> (opcode, rd, rs1, rs2, imm, cycles,
+        # Instruction, data-path fn or None), invalidated whenever the
+        # ISA's version changes (custom ops, cycle edits)
         self._ops: Dict[int, tuple] = {}
         self._ops_version = -1
 
@@ -230,33 +225,19 @@ class Cpu:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> Union[int, ExternalAccess]:
-        """Execute one instruction.
+        """Execute one instruction (or take one pending interrupt).
 
         Returns the cycles consumed, or an :class:`ExternalAccess` if the
         instruction touched an external region (the CPU is then frozen
-        until :meth:`complete_access`).
+        until :meth:`complete_access`).  Exactly ``run_block(1)``: the
+        one interpreter loop retires it.
         """
         if self.halted:
             return 0
         if self._pending is not None:
             raise CpuError("step() while an external access is pending")
-        if self.irq_pending and self.irq_enabled:
-            return self._take_irq()
-        word = self.memory.ram.get(self.pc)
-        if word is None:
-            raise CpuError(f"fetch from unprogrammed address {self.pc:#x}")
-        try:
-            instr = self.isa.decode(word)
-        except ValueError as exc:
-            raise CpuError(f"pc={self.pc:#x}: {exc}") from None
-        pc_before = self.pc
-        try:
-            cycles = self._execute(instr)
-        except _Defer as defer:
-            self._pending = (pc_before, instr, defer.access)
-            return defer.access
-        self._retire(pc_before, instr, cycles)
-        return cycles
+        _steps, cycles, access = self._run(1)
+        return cycles if access is None else access
 
     def complete_access(
         self, read_value: int = 0, extra_cycles: int = 0
@@ -276,7 +257,10 @@ class Cpu:
             self.set_reg(instr.rd, read_value)
         self.pc = pc_before + 1  # loads/stores never branch
         cycles = self.isa.cycles_of(instr.opcode) + extra_cycles
-        self._retire(pc_before, instr, cycles)
+        self.instr_count += 1
+        self.cycle_count += cycles
+        for observer in tuple(self.observers):
+            observer(pc_before, instr)
         return cycles
 
     @property
@@ -284,24 +268,11 @@ class Cpu:
         """The in-flight external access, if any."""
         return self._pending[2] if self._pending else None
 
-    def _retire(self, pc: int, instr: Instruction, cycles: int) -> None:
-        self.instr_count += 1
-        self.cycle_count += cycles
-        # a snapshot: an observer may detach itself (a fired fault
-        # saboteur, Profiler.detach()) without the next one missing
-        # this instruction
-        for observer in tuple(self.observers):
-            observer(pc, instr)
-
     def run(
         self, max_instructions: int = 1_000_000
     ) -> int:
         """Run until ``halt`` (pure-software mode; external accesses are a
         :class:`CpuError` here).  Returns cycles consumed.
-
-        Executes on the :meth:`run_block` fast path, which falls back to
-        :meth:`step` semantics automatically whenever observers are
-        armed — the result is observably identical either way.
         """
         start_cycles = self.cycle_count
         executed = 0
@@ -323,74 +294,60 @@ class Cpu:
             executed += steps
         return self.cycle_count - start_cycles
 
-    # ------------------------------------------------------------------
-    # fast-path execution
-    # ------------------------------------------------------------------
     def run_block(
         self, max_steps: int = 1 << 30
     ) -> Tuple[int, int, Optional[ExternalAccess]]:
         """Execute up to ``max_steps`` step-equivalents in one call.
 
-        Observably identical to calling :meth:`step` up to ``max_steps``
-        times, stopping early after ``halt`` retires or an external
-        access defers — but the common case (no observers armed) retires
-        whole runs of instructions in a single Python frame over a
-        pre-decoded operand cache, skipping the per-instruction
-        method-call and re-decode overhead (the equivalence contract is
-        spelled out in DESIGN.md §9 and enforced by
-        ``tests/isa/test_fastpath.py``).
+        Identical to calling :meth:`step` up to ``max_steps`` times,
+        stopping early after ``halt`` retires or an external access
+        defers — both run the same interpreter loop, which retires
+        whole runs of instructions in one Python frame over a
+        pre-decoded operand cache (DESIGN.md §9).
 
         Returns ``(steps, cycles, access)``:
 
         * ``steps`` — step-equivalents consumed: retired instructions
           plus taken interrupts, plus one for a deferred external
-          access (mirroring what a ``step()`` loop would count);
+          access;
         * ``cycles`` — the sum a ``step()`` loop would have returned:
           retired-instruction cycles plus interrupt-entry cycles (the
-          latter are *returned* for the caller's timekeeping but — as
-          on the slow path — never charged into ``cycle_count``).  A
-          deferred instruction's cycles are charged by
-          :meth:`complete_access`, as on the slow path;
+          latter are *returned* for the caller's timekeeping but never
+          charged into ``cycle_count``).  A deferred instruction's
+          cycles are charged by :meth:`complete_access`;
         * ``access`` — the pending :class:`ExternalAccess` if one was
           hit (the CPU is then frozen until :meth:`complete_access`).
 
-        Whenever observers are armed (profilers, fault saboteurs, trace
-        hooks) the fast path disables itself and the same loop runs
-        over :meth:`step`, preserving the repo's convention that hooks
-        cost nothing when absent and change nothing when present.
-        Detaching the last observer (``Profiler.detach()``,
-        ``FaultInjector.disarm()``) re-engages the fast path on the
-        very next call — there is no sticky disabled state to reset.
+        Observers (profilers, fault saboteurs, trace hooks) are called
+        at each retirement, after ``pc``, ``instr_count`` and
+        ``cycle_count`` are committed, and may rewrite any
+        architectural state; with none attached the loop pays one
+        truthiness test per instruction.
         """
         if self.halted or max_steps <= 0:
             return 0, 0, None
         if self._pending is not None:
             raise CpuError("run_block() while an external access is pending")
-        if self.observers:
-            return self._run_block_slow(max_steps)
-        return self._run_block_fast(max_steps)
+        return self._run(max_steps)
 
-    def _run_block_fast(
-        self, max_steps: int
-    ) -> Tuple[int, int, Optional[ExternalAccess]]:
-        """The interpreted fast tier: :meth:`run_block` semantics over
-        the pre-decoded operand cache (no observer dispatch — callers
-        guarantee no observers are armed)."""
-        if self.halted or max_steps <= 0:
-            return 0, 0, None
-
+    def _run(self, max_steps: int) -> Tuple[int, int, Optional[ExternalAccess]]:
+        """The interpreter loop behind :meth:`step` and :meth:`run_block`
+        (callers have checked the halted/pending guards)."""
         memory = self.memory
         ram_get = memory.ram.get
         regs = self.regs
+        observers = self.observers
         isa = self.isa
+        ops = self._ops
         if self._ops_version != isa.version:
-            self._ops.clear()
+            ops.clear()
             self._ops_version = isa.version
-        ops_get = self._ops.get
+        ops_get = ops.get
+        # instr_count is always instr0 + steps: a taken IRQ is a step
+        # but not a retirement, so it moves instr0 down by one
         instr0 = self.instr_count
         cycles0 = self.cycle_count
         pc = self.pc
-        retired = 0
         steps = 0
         cycles = 0
         irq_cycles = 0  # returned to the caller, never in cycle_count
@@ -401,6 +358,7 @@ class Cpu:
                     irq_cycles += self._take_irq()
                     pc = self.pc
                     steps += 1
+                    instr0 -= 1
                     continue
                 word = ram_get(pc)
                 if word is None:
@@ -410,19 +368,20 @@ class Cpu:
                 entry = ops_get(word)
                 if entry is None:
                     entry = self._predecode(word, pc)
-                op, rd, rs1, rs2, imm, cyc, instr, custom = entry
+                op, rd, rs1, rs2, imm, cyc, instr, fn = entry
                 a = regs[rs1] if rs1 else 0
                 next_pc = pc + 1
-                if custom is not None:
-                    v = custom(a, regs[rs2] if rs2 else 0) & MASK32
+                if fn is not None:  # ALU, DIV/MOD, custom
+                    try:
+                        v = fn(a, regs[rs2] if rs2 else 0, imm)
+                    except ZeroDivisionError:
+                        if op == 0x04:
+                            raise CpuError("division by zero") from None
+                        if op == 0x05:
+                            raise CpuError("modulo by zero") from None
+                        raise
                     if rd:
                         regs[rd] = v
-                elif op == 0x20:  # ADDI
-                    if rd:
-                        regs[rd] = (a + imm) & MASK32
-                elif op == 0x01:  # ADD
-                    if rd:
-                        regs[rd] = (a + (regs[rs2] if rs2 else 0)) & MASK32
                 elif 0x40 <= op <= 0x43:  # BEQ/BNE/BLT/BGE
                     lhs = regs[rd] if rd else 0
                     if op == 0x40:
@@ -439,7 +398,7 @@ class Cpu:
                 elif op == 0x30 or op == 0x31:  # LW / SW
                     # call-out: expose architectural state to handlers
                     self.pc = pc
-                    self.instr_count = instr0 + retired
+                    self.instr_count = instr0 + steps
                     self.cycle_count = cycles0 + cycles
                     try:
                         if op == 0x30:
@@ -451,79 +410,6 @@ class Cpu:
                     except _Defer as defer:
                         self._pending = (pc, instr, defer.access)
                         return steps + 1, cycles + irq_cycles, defer.access
-                elif op == 0x02:  # SUB
-                    if rd:
-                        regs[rd] = (a - (regs[rs2] if rs2 else 0)) & MASK32
-                elif op == 0x03:  # MUL
-                    if rd:
-                        regs[rd] = (a * (regs[rs2] if rs2 else 0)) & MASK32
-                elif op == 0x04:  # DIV
-                    v = self._div(a, regs[rs2] if rs2 else 0) & MASK32
-                    if rd:
-                        regs[rd] = v
-                elif op == 0x05:  # MOD
-                    v = self._mod(a, regs[rs2] if rs2 else 0) & MASK32
-                    if rd:
-                        regs[rd] = v
-                elif op == 0x06:  # AND
-                    if rd:
-                        regs[rd] = a & (regs[rs2] if rs2 else 0)
-                elif op == 0x07:  # OR
-                    if rd:
-                        regs[rd] = a | (regs[rs2] if rs2 else 0)
-                elif op == 0x08:  # XOR
-                    if rd:
-                        regs[rd] = a ^ (regs[rs2] if rs2 else 0)
-                elif op == 0x09:  # SLL
-                    if rd:
-                        regs[rd] = (
-                            a << ((regs[rs2] if rs2 else 0) & 31)
-                        ) & MASK32
-                elif op == 0x0A:  # SRL
-                    if rd:
-                        regs[rd] = (a & MASK32) >> (
-                            (regs[rs2] if rs2 else 0) & 31
-                        )
-                elif op == 0x0B:  # SRA
-                    sa = a - 0x100000000 if a & 0x80000000 else a
-                    if rd:
-                        regs[rd] = (
-                            sa >> ((regs[rs2] if rs2 else 0) & 31)
-                        ) & MASK32
-                elif op == 0x0C:  # SLT
-                    b = regs[rs2] if rs2 else 0
-                    sa = a - 0x100000000 if a & 0x80000000 else a
-                    sb = b - 0x100000000 if b & 0x80000000 else b
-                    if rd:
-                        regs[rd] = int(sa < sb)
-                elif op == 0x0D:  # SLTU
-                    if rd:
-                        regs[rd] = int(
-                            (a & MASK32) < ((regs[rs2] if rs2 else 0)
-                                            & MASK32)
-                        )
-                elif op == 0x21:  # ANDI
-                    if rd:
-                        regs[rd] = a & (imm & 0xFFFF)
-                elif op == 0x22:  # ORI
-                    if rd:
-                        regs[rd] = (a | (imm & 0xFFFF)) & MASK32
-                elif op == 0x23:  # XORI
-                    if rd:
-                        regs[rd] = (a ^ (imm & 0xFFFF)) & MASK32
-                elif op == 0x24:  # SLLI
-                    if rd:
-                        regs[rd] = (a << (imm & 31)) & MASK32
-                elif op == 0x25:  # SRLI
-                    if rd:
-                        regs[rd] = (a & MASK32) >> (imm & 31)
-                elif op == 0x26:  # SLTI
-                    sa = a - 0x100000000 if a & 0x80000000 else a
-                    if rd:
-                        regs[rd] = int(sa < imm)
-                elif op == 0x27:  # LUI
-                    if rd:
-                        regs[rd] = ((imm & 0xFFFF) << 16) & MASK32
                 elif op == 0x50:  # J
                     next_pc = imm
                 elif op == 0x51:  # JAL
@@ -541,190 +427,58 @@ class Cpu:
                     raise CpuError(f"unimplemented opcode {op:#x}")
 
                 cycles += cyc
-                retired += 1
                 steps += 1
-                pc = next_pc
+                if observers:
+                    # commit first: an observer that raises leaves the
+                    # retired instruction's state behind
+                    retired_pc, pc = pc, next_pc
+                    self.pc = pc
+                    self.instr_count = instr0 + steps
+                    self.cycle_count = cycles0 + cycles
+                    # a snapshot: an observer may detach itself (a
+                    # fired fault saboteur, Profiler.detach()) without
+                    # the next one missing this instruction
+                    for observer in tuple(observers):
+                        observer(retired_pc, instr)
+                    pc = self.pc
+                    regs = self.regs
+                    instr0 = self.instr_count - steps
+                    cycles0 = self.cycle_count - cycles
+                    if self._ops_version != isa.version:
+                        ops.clear()
+                        self._ops_version = isa.version
+                else:
+                    pc = next_pc
                 if self.halted:
                     break
         finally:
             self.pc = pc
-            self.instr_count = instr0 + retired
+            self.instr_count = instr0 + steps
             self.cycle_count = cycles0 + cycles
         return steps, cycles + irq_cycles, None
 
-    def _run_block_slow(self, max_steps: int) \
-            -> Tuple[int, int, Optional[ExternalAccess]]:
-        """:meth:`run_block` semantics over plain :meth:`step` calls —
-        the automatic fallback while observers are armed.  Once the last
-        observer detaches mid-block, the rest of the block runs on
-        :meth:`_run_block_fast`."""
-        steps = 0
-        cycles = 0
-        while steps < max_steps and not self.halted:
-            if not self.observers:
-                ran, more, access = self._run_block_fast(max_steps - steps)
-                return steps + ran, cycles + more, access
-            result = self.step()
-            steps += 1
-            if isinstance(result, ExternalAccess):
-                return steps, cycles, result
-            cycles += result
-        return steps, cycles, None
-
     def _predecode(self, word: int, pc: int) -> tuple:
-        """Fill one fast-path operand-cache entry for ``word``."""
+        """Fill one operand-cache entry for ``word``: the decoded
+        fields, the cycle cost and the data-path function — the
+        :data:`~repro.isa.instructions.SEMANTICS` entry, or the
+        installed custom op's semantics."""
         isa = self.isa
         try:
             instr = isa.decode(word)
         except ValueError as exc:
             raise CpuError(f"pc={pc:#x}: {exc}") from None
         custom = isa.custom(instr.opcode)
+        if custom is not None:
+            sem = custom.semantics
+            fn = lambda a, b, imm: sem(a, b) & MASK32  # noqa: E731
+        else:
+            fn = SEMANTICS.get(instr.opcode)
         entry = (
             instr.opcode, instr.rd, instr.rs1, instr.rs2, instr.imm,
-            isa.cycle_table()[instr.opcode], instr,
-            custom.semantics if custom is not None else None,
+            isa.cycle_table()[instr.opcode], instr, fn,
         )
         self._ops[word] = entry
         return entry
-
-    # ------------------------------------------------------------------
-    def _execute(self, instr: Instruction) -> int:
-        op = instr.opcode
-        cycles = self.isa.cycles_of(op)
-        next_pc = self.pc + 1
-        # read the register file once; r0 semantics (reads as zero,
-        # writes discarded) are kept inline instead of paying a
-        # get_reg/set_reg method call per operand
-        regs = self.regs
-        rd = instr.rd
-        rs1 = instr.rs1
-        rs2 = instr.rs2
-        a = regs[rs1] if rs1 else 0
-        b = regs[rs2] if rs2 else 0
-
-        custom = self.isa.custom(op)
-        if custom is not None:
-            v = custom.semantics(a, b) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.ADD:
-            if rd:
-                regs[rd] = (a + b) & MASK32
-        elif op == Opcode.SUB:
-            if rd:
-                regs[rd] = (a - b) & MASK32
-        elif op == Opcode.MUL:
-            if rd:
-                regs[rd] = (a * b) & MASK32
-        elif op == Opcode.DIV:
-            v = self._div(a, b) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.MOD:
-            v = self._mod(a, b) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.AND:
-            if rd:
-                regs[rd] = a & b
-        elif op == Opcode.OR:
-            if rd:
-                regs[rd] = a | b
-        elif op == Opcode.XOR:
-            if rd:
-                regs[rd] = a ^ b
-        elif op == Opcode.SLL:
-            if rd:
-                regs[rd] = (a << (b & 31)) & MASK32
-        elif op == Opcode.SRL:
-            if rd:
-                regs[rd] = (a & MASK32) >> (b & 31)
-        elif op == Opcode.SRA:
-            if rd:
-                regs[rd] = (_signed(a) >> (b & 31)) & MASK32
-        elif op == Opcode.SLT:
-            if rd:
-                regs[rd] = int(_signed(a) < _signed(b))
-        elif op == Opcode.SLTU:
-            if rd:
-                regs[rd] = int((a & MASK32) < (b & MASK32))
-        elif op == Opcode.ADDI:
-            if rd:
-                regs[rd] = (a + instr.imm) & MASK32
-        elif op == Opcode.ANDI:
-            if rd:
-                regs[rd] = a & (instr.imm & 0xFFFF)
-        elif op == Opcode.ORI:
-            if rd:
-                regs[rd] = (a | (instr.imm & 0xFFFF)) & MASK32
-        elif op == Opcode.XORI:
-            if rd:
-                regs[rd] = (a ^ (instr.imm & 0xFFFF)) & MASK32
-        elif op == Opcode.SLLI:
-            if rd:
-                regs[rd] = (a << (instr.imm & 31)) & MASK32
-        elif op == Opcode.SRLI:
-            if rd:
-                regs[rd] = (a & MASK32) >> (instr.imm & 31)
-        elif op == Opcode.SLTI:
-            if rd:
-                regs[rd] = int(_signed(a) < instr.imm)
-        elif op == Opcode.LUI:
-            if rd:
-                regs[rd] = ((instr.imm & 0xFFFF) << 16) & MASK32
-        elif op == Opcode.LW:
-            v = self.memory.read(a + instr.imm) & MASK32
-            if rd:
-                regs[rd] = v
-        elif op == Opcode.SW:
-            self.memory.write(a + instr.imm, regs[rd] if rd else 0)
-        elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-            lhs = regs[rd] if rd else 0
-            if op == Opcode.BEQ:
-                taken = lhs == a
-            elif op == Opcode.BNE:
-                taken = lhs != a
-            elif op == Opcode.BLT:
-                taken = _signed(lhs) < _signed(a)
-            else:
-                taken = _signed(lhs) >= _signed(a)
-            if taken:
-                next_pc = self.pc + 1 + instr.imm
-                cycles += 1  # taken-branch penalty
-        elif op == Opcode.J:
-            next_pc = instr.imm
-        elif op == Opcode.JAL:
-            regs[15] = (self.pc + 1) & MASK32
-            next_pc = instr.imm
-        elif op == Opcode.JR:
-            next_pc = a
-        elif op == Opcode.RETI:
-            next_pc = self.epc
-            self.irq_enabled = True
-        elif op == Opcode.HALT:
-            self.halted = True
-            next_pc = self.pc
-        else:  # pragma: no cover - decode guarantees known opcodes
-            raise CpuError(f"unimplemented opcode {op:#x}")
-
-        self.pc = next_pc
-        return cycles
-
-    @staticmethod
-    def _div(a: int, b: int) -> int:
-        sa, sb = _signed(a), _signed(b)
-        if sb == 0:
-            raise CpuError("division by zero")
-        q = abs(sa) // abs(sb)
-        return q if (sa >= 0) == (sb >= 0) else -q
-
-    @staticmethod
-    def _mod(a: int, b: int) -> int:
-        sa, sb = _signed(a), _signed(b)
-        if sb == 0:
-            raise CpuError("modulo by zero")
-        r = abs(sa) % abs(sb)
-        return r if sa >= 0 else -r
 
     def __repr__(self) -> str:
         return (

@@ -114,6 +114,49 @@ DEFAULT_CYCLES: Dict[int, int] = {
 }
 
 
+def _sx(x):
+    """Reinterpret masked 32-bit values as signed (ints or int64 arrays)."""
+    return x - ((x >> 31) << 32)
+
+
+#: R32's data-path semantics, the only copy: each ALU/DIV/MOD opcode
+#: maps to ``fn(a, b, imm) -> result`` over masked 32-bit source
+#: operands ``a`` (rs1) and ``b`` (rs2) and the sign-extended ``imm``,
+#: returning the masked 32-bit result.  Every expression is valid both
+#: on Python ints (the scalar :class:`~repro.isa.cpu.Cpu`) and on
+#: ``int64`` numpy columns (the lanes of :class:`~repro.isa.batch.BatchCpu`);
+#: each tier looks its entry up once per decoded word.  A zero divisor
+#: is each tier's own business: DIV/MOD raise ``ZeroDivisionError`` on
+#: ints, and the batch drains such lanes before calling them.
+SEMANTICS: Dict[int, Callable] = {
+    Opcode.ADD: lambda a, b, imm: (a + b) & MASK32,
+    Opcode.SUB: lambda a, b, imm: (a - b) & MASK32,
+    Opcode.MUL: lambda a, b, imm: (a * b) & MASK32,
+    # truncating division: |a| // |b|, negated when the signs differ
+    Opcode.DIV: lambda a, b, imm: (
+        abs(_sx(a)) // abs(_sx(b)) * (1 - 2 * ((a ^ b) >> 31))) & MASK32,
+    # remainder takes the dividend's sign
+    Opcode.MOD: lambda a, b, imm: (
+        abs(_sx(a)) % abs(_sx(b)) * (1 - 2 * (a >> 31))) & MASK32,
+    Opcode.AND: lambda a, b, imm: a & b,
+    Opcode.OR: lambda a, b, imm: a | b,
+    Opcode.XOR: lambda a, b, imm: a ^ b,
+    Opcode.SLL: lambda a, b, imm: (a << (b & 31)) & MASK32,
+    Opcode.SRL: lambda a, b, imm: a >> (b & 31),
+    Opcode.SRA: lambda a, b, imm: (_sx(a) >> (b & 31)) & MASK32,
+    Opcode.SLT: lambda a, b, imm: (_sx(a) < _sx(b)) * 1,
+    Opcode.SLTU: lambda a, b, imm: (a < b) * 1,
+    Opcode.ADDI: lambda a, b, imm: (a + imm) & MASK32,
+    Opcode.ANDI: lambda a, b, imm: a & (imm & 0xFFFF),
+    Opcode.ORI: lambda a, b, imm: a | (imm & 0xFFFF),
+    Opcode.XORI: lambda a, b, imm: a ^ (imm & 0xFFFF),
+    Opcode.SLLI: lambda a, b, imm: (a << (imm & 31)) & MASK32,
+    Opcode.SRLI: lambda a, b, imm: a >> (imm & 31),
+    Opcode.SLTI: lambda a, b, imm: (_sx(a) < imm) * 1,
+    Opcode.LUI: lambda a, b, imm: (imm & 0xFFFF) << 16,
+}
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One decoded instruction."""

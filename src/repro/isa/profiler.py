@@ -42,14 +42,14 @@ class Profiler:
         cpu.run()
         print(profiler.report(isa))
 
-    Attaching registers an observer on the CPU, which takes
-    ``run_block`` off its straight-line fast path for the duration —
-    so a profiler should be detached once profiling ends.  Prefer the
-    context-manager form, which detaches automatically::
+    Attaching registers an observer on the CPU, which ``run_block``
+    then calls at every retirement — so a profiler should be detached
+    once profiling ends.  Prefer the context-manager form, which
+    detaches automatically::
 
         with Profiler(cpu) as profiler:
             cpu.run()
-        # fast path re-engaged; profile still readable
+        # no longer called; profile still readable
     """
 
     def __init__(self, cpu: Cpu) -> None:
@@ -65,9 +65,8 @@ class Profiler:
     def detach(self) -> None:
         """Stop observing; the collected profile stays readable.
 
-        Removes this profiler's observer from the CPU, so with no
-        other observers attached ``run_block`` returns to its
-        straight-line fast path.  Idempotent.
+        Removes this profiler's observer from the CPU, so
+        ``run_block`` stops calling it.  Idempotent.
         """
         try:
             self.cpu.observers.remove(self._observe)

@@ -29,7 +29,7 @@ from repro.fault import inject as inject_mod
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu
 from repro.isa.instructions import Isa
-from tests.isa.test_profiler_detach import forbid_slow_path
+from tests.isa.test_profiler_detach import forbid_step_calls
 
 
 # ----------------------------------------------------------------------
@@ -154,15 +154,16 @@ class TestCpuFaults:
 
 class TestFiredSaboteurDetaches:
     """A fired ``cpu_*`` saboteur leaves ``cpu.observers``, so the rest
-    of a coproc cell runs on the fast block loop (DESIGN §9)."""
+    of a coproc cell pays no observer call per retirement (DESIGN §9)."""
 
     @staticmethod
-    def _cell(fault, keep_step_loop):
+    def _cell(fault, keep_observer):
         """One coproc cell, recorded as ``run_scenario`` records it.
 
-        ``keep_step_loop`` attaches a no-op observer for the whole run,
-        so every instruction retires through ``step()``; otherwise the
-        slow path is forbidden as soon as the saboteur has fired."""
+        ``keep_observer`` attaches a no-op observer for the whole run;
+        either way ``run_block`` must never retire through ``step()``,
+        and without it a fired saboteur leaves ``cpu.observers``
+        empty."""
         scenario = SCENARIOS["coproc"]
         sim = Simulator()
         system, summarize = scenario.build(sim)
@@ -170,24 +171,16 @@ class TestFiredSaboteurDetaches:
         injector.arm(fault)
         ((_kind, saboteur),) = injector._hooks
         cpu = system.cpu
-        if keep_step_loop:
+        if keep_observer:
             cpu.observers.append(lambda pc, instr: None)
-        else:
-            slow = cpu._run_block_slow
-
-            def guarded(max_steps):
-                result = slow(max_steps)
-                if saboteur.fired:
-                    assert not cpu.observers
-                    forbid_slow_path(cpu)
-                return result
-
-            cpu._run_block_slow = guarded
+        forbid_step_calls(cpu)
         error = None
         try:
             sim.run(until=scenario.horizon, watchdog=DEFAULT_WATCHDOG)
         except Exception as exc:
             error = {"type": type(exc).__name__, "message": str(exc)[:200]}
+        if saboteur.fired and not keep_observer:
+            assert not cpu.observers
         record = summarize()
         record.update(scenario="coproc", error=error, sim_time=sim.now,
                       activations=sim.activations)
@@ -202,8 +195,8 @@ class TestFiredSaboteurDetaches:
         fired = 0
         records = []
         for fault in faults:
-            fast, was_fired = self._cell(fault, keep_step_loop=False)
-            slow, _ = self._cell(fault, keep_step_loop=True)
+            fast, was_fired = self._cell(fault, keep_observer=False)
+            slow, _ = self._cell(fault, keep_observer=True)
             assert fast == slow, fault
             assert run_scenario("coproc", fault) == fast, fault
             fired += was_fired

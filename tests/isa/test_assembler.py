@@ -208,6 +208,37 @@ class TestDirectivesAndPseudos:
         assert cpu.get_reg(2) == 9
 
 
+class TestRangeErrors:
+    """Out-of-range operands are typed, located assembler errors —
+    never a bare ``ValueError`` and never a silent truncation."""
+
+    @pytest.mark.parametrize("source, lineno, fragment", [
+        ("halt\naddi r1, r0, 70000", 2, "imm16 70000 out of range"),
+        ("lui r1, 0x10000", 1, "imm16 65536 out of range"),
+        ("nop\nnop\nj 0x1000000", 3, "imm24 16777216 out of range"),
+        ("lw r1, 0x10000(r0)", 1, "imm16 65536 out of range"),
+        ("li r1, 0x1ffffffff", 1, "0x1ffffffff does not fit in 32 bits"),
+        ("li r1, -0x80000001", 1, "does not fit in 32 bits"),
+        ("halt\n.word 1, 0x1ffffffff", 2, "does not fit in 32 bits"),
+        (".word -0x80000001", 1, "does not fit in 32 bits"),
+    ])
+    def test_out_of_range_is_located(self, source, lineno, fragment):
+        with pytest.raises(AssemblerError) as info:
+            assemble(source)
+        assert info.value.lineno == lineno
+        assert str(info.value).startswith(f"line {lineno}: ")
+        assert fragment in str(info.value)
+
+    def test_boundaries_still_assemble(self):
+        prog = assemble(".word 0xffffffff, -0x80000000, -1")
+        assert [prog.image[i] for i in range(3)] == [
+            0xFFFFFFFF, 0x80000000, 0xFFFFFFFF]
+        for value, expected in (("0xffffffff", 0xFFFFFFFF),
+                                ("-0x80000000", 0x80000000)):
+            cpu, _m, _p = run_program(f"li r1, {value}\nhalt")
+            assert cpu.get_reg(1) == expected
+
+
 class TestCustomInstructions:
     def test_custom_mnemonic_assembles(self):
         isa = Isa()

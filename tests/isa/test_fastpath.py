@@ -1,13 +1,16 @@
-"""Differential property tests for the CPU fast path.
+"""Differential property tests for the CPU block loop.
 
 ``Cpu.run_block()`` claims to be *observably identical* to a
 ``step()`` loop (DESIGN.md §9: same architectural state, same counts,
-same errors at the same point, any block size).  Hypothesis drives
-random programs — including wild jumps, self-modifying stores,
-division faults, illegal words, injected IRQs and fault bit-flips —
-through both engines and compares complete snapshots, so any
-divergence between the pre-decoded trace-cache executor and the
-reference interpreter is a test failure, not a silent accuracy bug.
+same errors at the same point, any block size).  Both run the one
+interpreter loop, ``step()`` as a one-instruction block, so these
+properties pin what block boundaries must not change: the operand
+cache, interrupt entry, call-outs, observers and budgets across
+arbitrary chunkings.  Hypothesis drives random programs — including
+wild jumps, self-modifying stores, division faults, illegal words,
+injected IRQs and fault bit-flips — through both and compares complete
+snapshots.  The per-opcode results themselves are pinned against
+hand-typed values in ``tests/isa/test_semantics.py``.
 
 The ``slow``-marked classes at the end run ≥200 examples per property
 over whole lifecycles: fault injectors armed then disarmed, observers
@@ -23,6 +26,7 @@ from repro.fault.inject import FaultInjector, System, _CpuSaboteur
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, CpuError, ExternalAccess, Memory
 from repro.isa.instructions import CustomOp, Instruction, Isa, Opcode
+from tests.isa.test_profiler_detach import forbid_step_calls
 
 COMMON = dict(
     deadline=None,
@@ -175,6 +179,7 @@ class TestDifferential:
         seen_ref, seen_fast = [], []
         ref.observers.append(lambda pc, i: seen_ref.append((pc, i.opcode)))
         fast.observers.append(lambda pc, i: seen_fast.append((pc, i.opcode)))
+        forbid_step_calls(fast)
         assert run_ref(ref) == run_fast(fast, tuple(chunks))
         assert snapshot(ref) == snapshot(fast)
         assert seen_ref == seen_fast
@@ -373,15 +378,6 @@ class TestInvalidation:
 chunks_st = st.lists(st.integers(1, 9), min_size=1, max_size=4)
 
 
-def forbid_slow(cpu):
-    """After this, the observer step loop may never run again."""
-
-    def boom(max_steps):
-        raise AssertionError("slow path used with no observers")
-
-    cpu._run_block_slow = boom
-
-
 @pytest.mark.slow
 class TestDifferentialExhaustive:
     @settings(max_examples=200, **COMMON)
@@ -472,15 +468,17 @@ class TestFaultLifecycle:
     def test_injector_disarm_reengages_fast_tier(
         self, instrs, phase1, reg, bit, count
     ):
-        """arm → run (slow path) → disarm → run: both engines stay
-        identical across the whole lifecycle, and after ``disarm()``
-        ``run_block`` never touches the observer step loop again."""
+        """arm → run → disarm → run: both engines stay identical
+        across the whole lifecycle, and ``run_block`` never retires
+        through ``step()``, armed or disarmed."""
         spec = FaultSpec(kind="cpu_reg_flip", target="cpu",
                          index=reg, bit=bit, count=count)
         image = program_words(instrs)
         ref, fast = make_cpu(image), make_cpu(image)
 
         def lifecycle(cpu, runner):
+            if cpu is fast:
+                forbid_step_calls(cpu)
             injector = FaultInjector(System(sim=None, cpu=cpu))
             injector.arm(spec)
             err = runner(cpu, phase1)
@@ -488,8 +486,6 @@ class TestFaultLifecycle:
             assert not cpu.observers
             if err is not None:
                 return err
-            if cpu is fast:
-                forbid_slow(cpu)
             return runner(cpu, BUDGET)
 
         err_ref = lifecycle(ref, lambda c, b: run_ref(c, b))
@@ -635,13 +631,15 @@ class TestObserverLifecycle:
         self, instrs, phase1, phase2, chunks
     ):
         """free → observed → free again: the retirement sequence the
-        observer sees matches the reference, and after detach the
-        fast CPU never touches the observer step loop."""
+        observer sees matches the reference, and ``run_block`` never
+        retires through ``step()`` in any phase."""
         image = program_words(instrs)
         ref, fast = make_cpu(image), make_cpu(image)
         seen_ref, seen_fast = [], []
 
         def drive(cpu, seen, runner):
+            if cpu is fast:
+                forbid_step_calls(cpu)
             err = runner(cpu, phase1)
             if err is not None:
                 return err
@@ -651,8 +649,6 @@ class TestObserverLifecycle:
             cpu.observers.remove(hook)
             if err is not None:
                 return err
-            if cpu is fast:
-                forbid_slow(cpu)
             return runner(cpu, BUDGET)
 
         err_ref = drive(ref, seen_ref, lambda c, b: run_ref(c, b))

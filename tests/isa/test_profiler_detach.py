@@ -1,13 +1,15 @@
 """Profiler attach/detach lifecycle.
 
-An attached profiler is a CPU observer, which takes ``run_block`` off
-its straight-line fast path; these tests pin the contract that
-``detach()`` (or the context-manager form) re-engages the fast path
-while leaving the collected profile readable."""
+An attached profiler is a CPU observer, called by ``run_block``'s
+interpreter loop at every retirement; these tests pin the contract
+that ``detach()`` (or the context-manager form) stops the calls while
+leaving the collected profile readable, and that the loop retires
+every instruction itself, never through ``Cpu.step``, with or without
+observers."""
 
 import pytest
 
-from repro.fault.inject import FaultInjector, System
+from repro.fault.inject import FaultInjector, System, _CpuSaboteur
 from repro.fault.spec import FaultSpec
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu, Memory
@@ -33,11 +35,14 @@ def make_cpu():
     return Cpu(isa, mem, pc=prog.entry)
 
 
-def forbid_slow_path(cpu):
-    def boom(max_steps):
-        raise AssertionError("slow path used with no observers")
+def forbid_step_calls(cpu):
+    """From here on, ``cpu.step()`` may not run: ``run_block`` must
+    retire every instruction in its own loop."""
 
-    cpu._run_block_slow = boom
+    def boom():
+        raise AssertionError("run_block retired through Cpu.step")
+
+    cpu.step = boom
 
 
 class TestDetach:
@@ -65,27 +70,19 @@ class TestDetach:
         assert cpu.observers == [other]
 
     def test_run_block_fast_path_reengages_after_detach(self):
-        """The acceptance test: while attached, run_block routes
-        through the slow path; after detach it must never touch it."""
+        """The acceptance test: attached or detached, run_block runs
+        its own loop (never ``step()``); while attached the profiler
+        sees every retirement, after detach none."""
         cpu = make_cpu()
         profiler = Profiler(cpu)
-
-        slow_calls = []
-        orig = cpu._run_block_slow
-
-        def counting(max_steps):
-            slow_calls.append(max_steps)
-            return orig(max_steps)
-
-        cpu._run_block_slow = counting
+        forbid_step_calls(cpu)
         cpu.run_block(8)
-        assert slow_calls, "observers armed but fast path taken"
         assert profiler.total_instructions == 8
 
         profiler.detach()
-        forbid_slow_path(cpu)
-        cpu.run()  # must finish entirely on the fast path
+        cpu.run()
         assert cpu.halted
+        assert profiler.total_instructions == 8
 
     def test_injector_disarm_reengages_fast_path(self):
         """``FaultInjector.disarm()`` must re-enable the fast path the
@@ -95,20 +92,13 @@ class TestDetach:
         injector = FaultInjector(System(sim=None, cpu=cpu))
         injector.arm(FaultSpec(kind="cpu_reg_flip", target="cpu",
                                index=3, bit=0, count=2))
-        slow_calls = []
-        orig = cpu._run_block_slow
-
-        def counting(max_steps):
-            slow_calls.append(max_steps)
-            return orig(max_steps)
-
-        cpu._run_block_slow = counting
-        cpu.run_block(8)  # saboteur armed: literal step loop
-        assert slow_calls, "observers armed but fast path taken"
+        ((_kind, saboteur),) = injector._hooks
+        forbid_step_calls(cpu)
+        cpu.run_block(8)
+        assert saboteur.fired, "armed observer never called"
 
         injector.disarm()
         assert not cpu.observers
-        forbid_slow_path(cpu)
         cpu.run()
         assert cpu.halted
 
@@ -158,7 +148,7 @@ class TestDetach:
 class TestDetachDuringRetire:
     def test_detach_from_inside_an_observer_skips_no_one(self):
         """An observer that detaches the profiler mid-retire shrinks
-        ``cpu.observers`` while ``_retire`` is walking it; the observer
+        ``cpu.observers`` while the CPU loop is walking it; the observer
         after it must still see every instruction."""
         isa = Isa()
         prog = assemble(
@@ -175,6 +165,40 @@ class TestDetachDuringRetire:
         assert profiler.total_instructions == 1
 
 
+class TestRaisingObserver:
+    """An observer that raises at retirement sees the instruction
+    already retired: ``pc``, ``instr_count`` and ``cycle_count`` are
+    committed before any observer runs, on ``step()`` and on
+    ``run_block()`` alike."""
+
+    @staticmethod
+    def _cpu():
+        isa = Isa()
+        prog = assemble("addi r1, r0, 1\naddi r2, r0, 2\nhalt", isa)
+        cpu = Cpu(isa)
+        cpu.memory.load_image(prog.image)
+        # a register index off the file: the saboteur raises IndexError
+        cpu.observers.append(_CpuSaboteur(
+            cpu, FaultSpec(kind="cpu_reg_flip", target="cpu", index=16,
+                           bit=0, count=1)))
+        return cpu
+
+    @pytest.mark.parametrize("run", [
+        lambda cpu: cpu.step(),
+        lambda cpu: cpu.run_block(),
+        lambda cpu: cpu.run(),
+    ], ids=["step", "run_block", "run"])
+    def test_state_after_observer_raises(self, run):
+        cpu = self._cpu()
+        with pytest.raises(IndexError):
+            run(cpu)
+        assert (cpu.pc, cpu.instr_count, cpu.cycle_count) == (1, 1, 1)
+        assert cpu.regs[1] == 1 and cpu.regs[2] == 0
+        assert not cpu.observers  # it detached before raising
+        cpu.run()
+        assert cpu.regs[2] == 2 and cpu.instr_count == 3
+
+
 class TestContextManager:
     def test_with_block_detaches_on_exit(self):
         cpu = make_cpu()
@@ -184,7 +208,7 @@ class TestContextManager:
         assert not profiler.attached
         assert not cpu.observers
         assert profiler.total_instructions == 8
-        forbid_slow_path(cpu)
+        forbid_step_calls(cpu)
         cpu.run()
         assert cpu.halted
 
