@@ -31,6 +31,7 @@ from repro.campaign.store import (
     CACHE_VERSION,
     CacheVersionError,
     CampaignStore,
+    CampaignStoreError,
     JOB_STATES,
 )
 from repro.campaign.service import (
@@ -52,6 +53,7 @@ __all__ = [
     "CACHE_VERSION",
     "CacheVersionError",
     "CampaignStore",
+    "CampaignStoreError",
     "JOB_STATES",
     "CampaignCellError",
     "CampaignInterrupted",

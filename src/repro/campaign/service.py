@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.runners import get_runner
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import CampaignStore, CampaignStoreError
 from repro.obs.live import (
     DEFAULT_HEARTBEAT_S,
     StoreRecorder,
@@ -265,7 +265,9 @@ def run_store_jobs(
     processes and the coordinator streams completions, reclaims stale
     leases, and emits queue-depth telemetry.  Raises
     :class:`CampaignCellError` when cells exhausted their attempts and
-    :class:`CampaignInterrupted` when all shards died early.
+    :class:`CampaignInterrupted` when all shards died early, and
+    :class:`CampaignStoreError` for an in-memory store: every shard,
+    the in-process one too, reopens the store by path.
 
     ``recorder``/``heartbeat_s`` arm the flight recorder: shards
     heartbeat into the store's ``telemetry`` table every
@@ -276,6 +278,10 @@ def run_store_jobs(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if str(store.path) == ":memory:":
+        raise CampaignStoreError(
+            f"store {str(store.path)!r} is in memory, but campaign "
+            f"shards reopen the store by path; use a file")
     if heartbeat_s is None and recorder is not None:
         heartbeat_s = DEFAULT_HEARTBEAT_S
     emitter = None

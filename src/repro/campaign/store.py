@@ -111,6 +111,13 @@ class CacheVersionError(RuntimeError):
     """
 
 
+class CampaignStoreError(RuntimeError):
+    """The store at a path cannot serve the request: the file is not a
+    readable SQLite database (garbage, truncated), or the store lives
+    in memory where shards, which reopen it by path, cannot reach it.
+    The message names the path."""
+
+
 class CampaignStore:
     """Durable result store + job queue for sweep/fault/explore runs.
 
@@ -149,10 +156,18 @@ class CampaignStore:
         if self._conn is None or self._conn_pid != pid:
             conn = sqlite3.connect(self.path, timeout=30.0,
                                    isolation_level=None)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            conn.executescript(_SCHEMA)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute("PRAGMA busy_timeout=30000")
+                conn.executescript(_SCHEMA)
+            except sqlite3.OperationalError:
+                raise  # locked or unopenable: no verdict on the file
+            except sqlite3.DatabaseError as exc:
+                conn.close()
+                raise CampaignStoreError(
+                    f"{self.path} is not a readable campaign store: {exc}"
+                ) from exc
             self._conn = conn
             self._conn_pid = pid
         return self._conn

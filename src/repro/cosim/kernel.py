@@ -59,6 +59,15 @@ class Watchdog:
     steps so the hot loop stays cheap.  A process stuck inside a single
     ``step()`` (never yielding at all) is not detectable from within
     the kernel; the watchdog covers everything the event loop can see.
+
+    A spinner that declares itself with :meth:`Simulator.spin` is judged
+    in closed form: once its :data:`SPIN` wakeup is the only live entry
+    due at the stuck time, the verdict and the activation count are
+    known, so :meth:`Simulator.run` adds the remaining stalled
+    resumptions to :attr:`Simulator.activations` and raises the same
+    :class:`HangDetected` without running them.  A ``wall_clock_s``
+    budget or an attached tracer turns this off: both observe each
+    resumption.
     """
 
     __slots__ = ("max_stalled_activations", "wall_clock_s", "check_every")
@@ -162,6 +171,12 @@ class Event:
     def __repr__(self) -> str:
         state = "fired" if self.triggered else "pending"
         return f"Event({self.name!r}, {state})"
+
+
+#: Value carried by the wakeup of :meth:`Simulator.spin`.  It tags the
+#: wakeup itself (not the process), so a spinner's start entry, or any
+#: wakeup it scheduled before it began spinning, is never taken for one.
+SPIN: Any = object()
 
 
 class Timeout:
@@ -435,6 +450,16 @@ class Simulator:
         """Create a timeout waitable (sugar for ``Timeout(delay, value)``)."""
         return Timeout(delay, value)
 
+    def spin(self) -> Timeout:
+        """A zero-delay timeout whose wakeup carries :data:`SPIN`.
+
+        A process that yields it promises to do nothing on resumption
+        but yield ``spin()`` again: a declared livelock.  Unwatched, it
+        spins like ``timeout(0.0)``; a watched :meth:`run` may compute
+        the watchdog's verdict on it in closed form.
+        """
+        return Timeout(0.0, SPIN)
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -492,6 +517,17 @@ class Simulator:
         ``(time, seq)`` entry itself, as :meth:`step` does, and drops
         stale entries *before* the horizon check, so a wakeup abandoned
         by an interrupt can never let the run resume past ``until``.
+
+        With a watchdog, a stalled step fast-forwards a declared
+        spinner (:meth:`spin`) straight to its :class:`HangDetected`
+        when all of these hold: no ``wall_clock_s`` budget, no tracer,
+        the ready lane holds exactly one entry, a live :data:`SPIN`
+        wakeup, and the heap holds nothing due at ``now``.  Then the
+        spinner is the only process that can run before the limit, and
+        each of its resumptions only schedules the next, so the
+        activation count, ``now``, the message and its suspects equal
+        those of running every step.  Without a watchdog a spinner
+        spins forever, as ``timeout(0.0)`` would.
         """
         if until is not None and until < self.now:
             return self.now
@@ -535,6 +571,20 @@ class Simulator:
                 stalled = 0
             else:
                 stalled += 1
+                # closed form: a lone live SPIN wakeup with nothing else
+                # due at `now` repeats itself until the limit, so the
+                # remaining stalled resumptions are counted, not run
+                if (
+                    deadline is None
+                    and len(ready) == 1
+                    and ready[0][3] is SPIN
+                    and self.tracer is None
+                    and (not queue or queue[0][0] > self.now)
+                ):
+                    _when, _seq, spinner, _value, spin_token = ready[0]
+                    if spin_token == spinner._token and spinner._alive:
+                        self.activations += limit - stalled
+                        stalled = limit
                 if stalled >= limit:
                     raise HangDetected(
                         f"no model-time progress after {stalled} "

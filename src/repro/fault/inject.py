@@ -155,10 +155,12 @@ def _flip_later(system: System, spec: FaultSpec) -> Generator:
 
 
 def _spin_later(system: System, spec: FaultSpec) -> Generator:
-    """Saboteur that stops yielding time: the watchdog's prey."""
+    """Saboteur that stops yielding time: the watchdog's prey.  It
+    spins through :meth:`Simulator.spin`, so a watched run computes its
+    hang in closed form instead of resuming it up to the limit."""
     yield system.sim.timeout(spec.time)
     while True:
-        yield system.sim.timeout(0.0)
+        yield system.sim.spin()
 
 
 class FaultInjector:

@@ -5,6 +5,7 @@ import pytest
 from repro.campaign import (
     CampaignCellError,
     CampaignStore,
+    CampaignStoreError,
     PoolJobError,
     register_runner,
     run_jobs,
@@ -27,6 +28,32 @@ def small_grid(heuristics=("greedy", "vulcan"), seeds=range(2)):
 @pytest.fixture
 def store(tmp_path):
     return CampaignStore(tmp_path / "store.sqlite")
+
+
+class TestInMemoryStore:
+    """Shards reopen the store by path, so an in-memory store would
+    hand each of them a fresh, empty database and lose the campaign;
+    it is rejected up front instead."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_on_memory_store_is_rejected(self, workers):
+        from repro.fault.campaign import run_campaign
+        from repro.fault.scenarios import SCENARIOS
+        from repro.fault.spec import sample_faults
+
+        faults = sample_faults(SCENARIOS["coproc"].targets, 4, seed=0)
+        with pytest.raises(CampaignStoreError, match=":memory:"):
+            run_campaign("coproc", faults, workers=workers,
+                         cache=CampaignStore(":memory:"))
+
+    def test_run_store_jobs_rejects_memory_store(self):
+        grid = small_grid(seeds=range(1))
+        with pytest.raises(CampaignStoreError, match=":memory:"):
+            run_store_jobs(
+                CampaignStore(":memory:"), "sweep",
+                [(c.fingerprint, {"config": c.to_dict(), "weights": None})
+                 for c in grid],
+                workers=1, on_done=lambda *args: None)
 
 
 class TestRunStoreJobs:

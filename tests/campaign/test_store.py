@@ -7,7 +7,12 @@ import os
 
 import pytest
 
-from repro.campaign import CACHE_VERSION, CacheVersionError, CampaignStore
+from repro.campaign import (
+    CACHE_VERSION,
+    CacheVersionError,
+    CampaignStore,
+    CampaignStoreError,
+)
 
 RECORD = {"fingerprint": "f" * 64, "cost": 12.5, "hw_tasks": ["a", "b"]}
 
@@ -78,6 +83,32 @@ class TestResultSurface:
         path = tmp_path / "deep" / "nested" / "store.sqlite"
         CampaignStore(path)
         assert path.exists()
+
+
+class TestUnreadableFile:
+    """A file that is not a store fails with a typed error naming it,
+    not a bare ``sqlite3.DatabaseError``."""
+
+    def test_garbage_file(self, tmp_path):
+        path = tmp_path / "garbage.sqlite"
+        path.write_bytes(b"not a database at all " * 200)
+        with pytest.raises(CampaignStoreError) as exc:
+            CampaignStore(path)
+        assert str(path) in str(exc.value)
+
+    def test_truncated_store(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        store = CampaignStore(path)
+        store.put_many([(f"{i:064d}", {"pad": "x" * 500})
+                        for i in range(64)])
+        store.conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        store.close()
+        data = path.read_bytes()
+        assert len(data) > 8192
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(CampaignStoreError) as exc:
+            CampaignStore(path)
+        assert str(path) in str(exc.value)
 
 
 def _legacy_entry(directory, fp, record):

@@ -13,16 +13,19 @@ identical resume logs, times, and activation counts on both.
 import heapq
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, example, given, settings, strategies as st)
 
 from repro.cosim.kernel import (
     AnyOf,
     HangDetected,
     Interrupt,
     Resource,
+    SimulationError,
     Simulator,
     Watchdog,
 )
+from repro.cosim.trace import RESUME, Tracer
 
 COMMON = dict(
     deadline=None,
@@ -62,8 +65,12 @@ scripts_st = st.lists(
     st.lists(op_st, min_size=1, max_size=6), min_size=1, max_size=5)
 
 
-def build_workload(sim_cls, scripts):
-    """Spawn the scripted workload; return ``(sim, log)`` unrun."""
+def build_workload(sim_cls, scripts, spinner=None):
+    """Spawn the scripted workload; return ``(sim, log)`` unrun.
+
+    ``spinner(sim)``, if given, makes one more process, spawned last
+    and reachable by the "join" and "interrupt" ops like the others.
+    """
     sim = sim_cls()
     events = [sim.event(f"e{i}") for i in range(N_EVENTS)]
     resource = Resource(sim, "res")
@@ -118,6 +125,8 @@ def build_workload(sim_cls, scripts):
             return result
 
         procs[pid] = sim.process(wrapper(), name=f"p{pid}")
+    if spinner is not None:
+        procs.append(sim.process(spinner(sim), name="spinner"))
     return sim, log
 
 
@@ -304,6 +313,134 @@ class TestWatchdogFastLane:
         plain = run_workload(Simulator, scripts)
         watched = run_workload_watched(scripts)
         assert plain == watched
+
+
+def spinner_after(start, declared, resumes):
+    """A spinner body: sleep ``start``, then spin forever, on
+    ``spin()`` if ``declared`` and on ``timeout(0.0)`` otherwise.
+    Each resumption while spinning appends ``now`` to ``resumes``."""
+
+    def spinner(sim):
+        yield sim.timeout(start)
+        while True:
+            yield sim.spin() if declared else sim.timeout(0.0)
+            resumes.append(sim.now)
+
+    return spinner
+
+
+def run_spin_workload(sim_cls, declared, scripts, start, **run_kwargs):
+    """Run a workload plus a spinner; return what a caller can observe:
+    the resume log, ``now``, ``activations``, the error's type and full
+    message (``None`` if the run returned), and the spinner's own
+    resumption times."""
+    resumes = []
+    sim, log = build_workload(
+        sim_cls, scripts, spinner_after(start, declared, resumes))
+    try:
+        sim.run(**run_kwargs)
+        error = None
+    except SimulationError as exc:
+        error = (type(exc), str(exc))
+    return log, sim.now, sim.activations, error, resumes
+
+
+spin_start_st = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0])
+
+
+class TestSpinClosedForm:
+    """A watched run fast-forwards a declared spinner to its
+    ``HangDetected``.  The oracle is brute force: a ``timeout(0.0)``
+    spinner on the heap-only reference scheduler, whose ready lane is
+    always empty, so the closed-form rule can never fire there."""
+
+    @settings(max_examples=120, **COMMON)
+    @given(scripts=scripts_st, start=spin_start_st,
+           limit=st.integers(1, 60))
+    # p0's second timeout lands at t=1 behind the spinner's: a live heap
+    # entry due at `now` while the spinner's SPIN wakeup is the lone
+    # ready entry
+    @example(scripts=[[("timeout", 0.0), ("timeout", 1.0)],
+                      [("timeout", 1.0)]],
+             start=1.0, limit=50)
+    def test_fast_forward_matches_brute_force(self, scripts, start,
+                                              limit):
+        fast = run_spin_workload(
+            Simulator, True, scripts, start,
+            watchdog=Watchdog(max_stalled_activations=limit))
+        brute = run_spin_workload(
+            _HeapOnlySimulator, False, scripts, start,
+            watchdog=Watchdog(max_stalled_activations=limit))
+        # everything but the skipped resumptions themselves
+        assert fast[:4] == brute[:4]
+        assert fast[4] == brute[4][:len(fast[4])]
+
+    @settings(max_examples=40, **COMMON)
+    @given(scripts=scripts_st, start=spin_start_st,
+           limit=st.integers(1, 60))
+    def test_wall_clock_budget_keeps_every_resumption(self, scripts,
+                                                      start, limit):
+        watchdog = Watchdog(max_stalled_activations=limit,
+                            wall_clock_s=3600.0)
+        fast = run_spin_workload(Simulator, True, scripts, start,
+                                 watchdog=watchdog)
+        brute = run_spin_workload(_HeapOnlySimulator, False, scripts,
+                                  start, watchdog=watchdog)
+        assert fast == brute
+
+    @settings(max_examples=40, **COMMON)
+    @given(scripts=scripts_st,
+           start=st.sampled_from([0.5, 1.0, 2.5, 7.0]),
+           gap=st.sampled_from([0.25, 0.5]))
+    def test_unwatched_run_stops_at_the_horizon(self, scripts, start,
+                                                gap):
+        until = start - gap
+        fast = run_spin_workload(Simulator, True, scripts, start,
+                                 until=until)
+        brute = run_spin_workload(_HeapOnlySimulator, False, scripts,
+                                  start, until=until)
+        assert fast == brute
+        assert fast[1] == until
+        assert fast[4] == []
+
+    def test_lone_spinner_is_not_run_to_the_limit(self):
+        """The rule does fire: a lone declared spinner resumes once
+        while spinning, yet reports the brute-force count and message."""
+        outcomes = []
+        for sim_cls, declared in ((Simulator, True),
+                                  (_HeapOnlySimulator, False)):
+            outcomes.append(run_spin_workload(
+                sim_cls, declared, [[("timeout", 1.0)]], 2.5,
+                watchdog=Watchdog(max_stalled_activations=4000)))
+        fast, brute = outcomes
+        assert fast[:4] == brute[:4]
+        assert fast[3][0] is HangDetected
+        assert "after 4000 activations at t=2.5" in fast[3][1]
+        assert len(fast[4]) == 1
+        assert len(brute[4]) == 4000
+
+    def test_tracer_sees_every_resumption(self):
+        """A kernel tracer observes each resumption, so with one
+        attached the spinner runs all ``limit`` stalled resumes; the
+        verdict is the one the untraced, fast-forwarded run reaches."""
+        limit = 300
+        outcomes = []
+        for tracer in (Tracer(), None):
+            sim = Simulator(tracer=tracer)
+            resumes = []
+            sim.process(spinner_after(1.0, True, resumes)(sim),
+                        name="spinner")
+            with pytest.raises(HangDetected) as err:
+                sim.run(watchdog=Watchdog(max_stalled_activations=limit))
+            outcomes.append((sim.activations, sim.now, str(err.value)))
+            if tracer is not None:
+                traced_resumes = resumes
+                records = tracer.records_of(RESUME)
+        assert outcomes[0] == outcomes[1]
+        assert len(traced_resumes) == limit
+        # the start at t=0, the wakeup at t=1, then every spin
+        assert [r.time for r in records] == [0.0] + [1.0] * (limit + 1)
+        assert {r.name for r in records} == {"spinner"}
 
 
 def run_workload_watched(scripts):
