@@ -7,8 +7,10 @@ engines:
   store: a SQLite file holding fingerprint-keyed results (versioned by
   ``CACHE_VERSION``, with a read-only importer for legacy JSON cache
   directories) and a lease-stamped persistent job queue;
-* :mod:`repro.campaign.service` — :func:`run_jobs`, the engines' one
-  fan-out: a process pool (:func:`pool_map`) without a store, or
+* :mod:`repro.campaign.service` — :class:`CellLedger`, the engines'
+  one per-run cell bookkeeping (dedupe, store lookup, counters, driver
+  span, run marks, request-order results), and :func:`run_jobs`, their
+  one fan-out: a process pool (:func:`pool_map`) without a store, or
   :func:`run_store_jobs` with one — the coordinator + N work-stealing
   shard processes that drain the queue with batched claim/commit
   transactions, reclaim dead leases, and make any interrupted campaign
@@ -37,6 +39,7 @@ from repro.campaign.store import (
 from repro.campaign.service import (
     CampaignCellError,
     CampaignInterrupted,
+    CellLedger,
     CellTiming,
     PoolJobError,
     pool_map,
@@ -57,6 +60,7 @@ __all__ = [
     "JOB_STATES",
     "CampaignCellError",
     "CampaignInterrupted",
+    "CellLedger",
     "CellTiming",
     "PoolJobError",
     "pool_map",

@@ -1,9 +1,14 @@
-"""The one fan-out every experiment engine runs its cells through.
+"""The one cell ledger and the one fan-out every experiment engine
+runs its cells through.
 
-:func:`run_jobs` is where :func:`repro.sweep.engine.run_sweep`,
+:class:`CellLedger` is the per-run bookkeeping
+:func:`repro.sweep.engine.run_sweep`,
 :func:`repro.fault.campaign.run_campaign` and
-:func:`repro.explore.driver.explore` hand their cache misses: a list of
-``(fingerprint, payload)`` jobs, each executed by a named runner from
+:func:`repro.explore.driver.explore` share: dedupe, store lookup,
+counters, the driver span, flight-recorder run marks, and records
+handed back in request order.  Its :meth:`CellLedger.run` hands the
+cache misses to :func:`run_jobs`: a list of ``(fingerprint, payload)``
+jobs, each executed by a named runner from
 :mod:`repro.campaign.runners`.  Without a store it fans them over
 :func:`pool_map` (in-process for one worker, a process pool for more);
 with a :class:`~repro.campaign.store.CampaignStore` it runs them through
@@ -30,6 +35,7 @@ one source of truth.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import os
@@ -40,6 +46,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.runners import get_runner
 from repro.campaign.store import CampaignStore, CampaignStoreError
+from repro.cosim.metrics import MetricsRegistry
 from repro.obs.live import (
     DEFAULT_HEARTBEAT_S,
     StoreRecorder,
@@ -467,3 +474,167 @@ def run_jobs(
                 fp, record, obs, CellTiming(elapsed)),
             metrics=metrics, span_tracer=span_tracer, recorder=recorder,
         )
+
+
+#: :meth:`CellLedger.want` verdicts: the fingerprint is new (pending
+#: until :meth:`CellLedger.run`), was served from the store, or was
+#: already requested through this ledger.
+NEW, CACHED, KNOWN = "new", "cached", "known"
+
+
+class CellLedger:
+    """One driver run's cells: named inputs in, records out, in order.
+
+    The ledger maps fingerprint → payload for the cells still to
+    compute (:attr:`pending`) and fingerprint → record for the results
+    (:attr:`records`, ``None`` while pending).  :meth:`want` registers
+    one requested cell — deduplicated, and served from the store when
+    it is there; :meth:`run` fans the pending cells out through
+    :func:`run_jobs`; :meth:`finish` books one computed record.
+    :attr:`order` lists every distinct fingerprint in *request* order,
+    so a driver that reads results through it gets the same order
+    whether a record came from the store or from the fan-out, at any
+    worker count and any store warmth.
+
+    Entered as a context manager it also owns the run's telemetry:
+    the driver span (``span_name``, default ``kind``) on a ``"<kind>
+    driver"`` lane, closed however the run ends; and, with a
+    ``recorder``, the flight-recorder ``run`` start/finish marks and
+    progress heartbeats.  Without an ``owner`` the driver records only
+    when no store is attached, because a store's coordinator and
+    shards stream for it; a driver with samples of its own (the
+    explorer's generations) names an ``owner`` distinct from theirs
+    and always records.  ``about`` labels the span and the start mark.
+
+    Counters: ``<kind>.cache.hits``/``misses``,
+    ``<kind>.<unit>s.computed`` and the ``<kind>.<unit>.elapsed_s``/
+    ``wait_s`` histograms.  A ``probe`` collects the convergence
+    records observed workers ship back.
+    """
+
+    def __init__(self, kind: str, workers: int,
+                 store: Optional[CampaignStore] = None,
+                 metrics: Optional[MetricsRegistry] = None,
+                 span_tracer=None, recorder=None, probe=None,
+                 owner: Optional[str] = None,
+                 span_name: Optional[str] = None, unit: str = "cell",
+                 **about: Any) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.kind = kind
+        self.workers = workers
+        self.store = store
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
+        self.span_tracer = span_tracer
+        self.recorder = recorder
+        self.probe = probe
+        self.owner = owner
+        self.about = {**about, "workers": workers}
+        self._span_name = span_name if span_name is not None else kind
+        self._computed_name = f"{kind}.{unit}s.computed"
+        self._elapsed_name = f"{kind}.{unit}.elapsed_s"
+        self._wait_name = f"{kind}.{unit}.wait_s"
+        self.order: List[str] = []
+        self.records: Dict[str, Optional[Dict[str, Any]]] = {}
+        self.pending: List[Job] = []
+        self.requested = self.computed = 0
+        self.cache_hits = self.duplicates = 0
+        self.elapsed_s = 0.0
+        self.emitter: Optional[TelemetryEmitter] = None
+        self._span = None
+
+    # ------------------------------------------------------------------
+    def __enter__(self) -> "CellLedger":
+        self._t0 = time.perf_counter()
+        if self.span_tracer is not None:
+            self.span_tracer.name_lane(self.span_tracer.pid,
+                                       f"{self.kind} driver")
+            self._span = self.span_tracer.span(self._span_name,
+                                               **self.about)
+            self._span.__enter__()
+        if self.recorder is not None \
+                and (self.store is None or self.owner is not None):
+            self.emitter = TelemetryEmitter(self.recorder,
+                                            owner=self.owner,
+                                            role=self.kind)
+            self.emitter.emit("run", event="start", **self.about)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.elapsed_s = time.perf_counter() - self._t0
+        if self._span is not None:
+            self._span.__exit__(*exc_info)
+        if self.emitter is not None and exc_info[0] is None:
+            # the final beat carries ``exiting`` so post-mortems read
+            # a completed run as exited, not dead (rate limiting would
+            # otherwise swallow it on short runs)
+            self._beat(force=True, exiting=True)
+            self.emitter.emit("run", event="finish",
+                              done=self.computed + self.cache_hits,
+                              computed=self.computed,
+                              cache_hits=self.cache_hits,
+                              elapsed_s=self.elapsed_s)
+
+    def span(self, name: str, **attrs: Any):
+        """A span under the driver span; a no-op without a tracer."""
+        if self.span_tracer is None:
+            return contextlib.nullcontext()
+        return self.span_tracer.span(name, **attrs)
+
+    def _beat(self, **flags: Any) -> None:
+        self.emitter.heartbeat(**flags,
+                               done=self.computed + self.cache_hits,
+                               cache_hits=self.cache_hits,
+                               total=self.requested)
+
+    # ------------------------------------------------------------------
+    def want(self, fingerprint: str, payload: Dict[str, Any],
+             **event: Any) -> str:
+        """Request one cell; returns :data:`NEW`, :data:`CACHED` or
+        :data:`KNOWN`.  ``event`` labels its ``cache.hit`` span event."""
+        self.requested += 1
+        if fingerprint in self.records:
+            self.duplicates += 1
+            return KNOWN
+        self.order.append(fingerprint)
+        cached = (self.store.get(fingerprint)
+                  if self.store is not None else None)
+        self.records[fingerprint] = cached
+        if cached is None:
+            self.pending.append((fingerprint, payload))
+            self.metrics.counter(f"{self.kind}.cache.misses").inc()
+            return NEW
+        self.cache_hits += 1
+        self.metrics.counter(f"{self.kind}.cache.hits").inc()
+        if self.span_tracer is not None:
+            self.span_tracer.event("cache.hit", fingerprint=fingerprint,
+                                   **event)
+        return CACHED
+
+    def finish(self, fingerprint: str, record: Dict[str, Any],
+               timing: CellTiming,
+               obs: Optional[Dict[str, Any]] = None) -> None:
+        """Book one computed record (the ``on_done`` of :meth:`run`)."""
+        self.records[fingerprint] = record
+        self.computed += 1
+        if self.emitter is not None:
+            self._beat()
+        self.metrics.counter(self._computed_name).inc()
+        self.metrics.histogram(self._elapsed_name).observe(
+            timing.elapsed_s)
+        if timing.wait_s is not None:
+            self.metrics.histogram(self._wait_name).observe(
+                timing.wait_s)
+        if obs is not None and self.probe is not None:
+            self.probe.extend_from_dicts(obs["probe"])
+
+    def run(self) -> None:
+        """Compute every pending cell through :func:`run_jobs` — with
+        the ``<kind>`` runner, or ``<kind>_observed`` under a tracer
+        or probe."""
+        jobs, self.pending = self.pending, []
+        run_jobs(self.kind, jobs, self.workers, self.finish,
+                 store=self.store, metrics=self.metrics,
+                 span_tracer=self.span_tracer, recorder=self.recorder,
+                 observed=self.probe is not None)

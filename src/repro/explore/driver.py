@@ -43,12 +43,10 @@ from __future__ import annotations
 import json
 import os
 import random
-import sys
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.service import CellTiming, run_jobs
+from repro.campaign.service import KNOWN, CellLedger
 from repro.campaign.store import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
 from repro.explore.doe import doe_population
@@ -68,7 +66,6 @@ from repro.explore.pareto import (
     pareto_front,
     weighted_sum_rank,
 )
-from repro.obs.live import TelemetryEmitter
 from repro.obs.spans import SpanTracer
 from repro.partition.seeding import ProgressProbe
 
@@ -354,65 +351,18 @@ def explore(
     never enter the archive, so the front JSON is byte-identical with
     or without a recorder.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    t0 = time.perf_counter()
-    space = spec.space()
-    stats = ExploreStats(workers=workers)
-
-    emitter = None
-    if recorder is not None:
-        # distinct owner: in store mode the campaign coordinator (and
-        # a workers=1 in-process shard) shares this pid
-        emitter = TelemetryEmitter(recorder,
-                                   owner=f"explore:{os.getpid()}",
-                                   role="explore")
-        emitter.emit("run", event="start",
-                     population=spec.population,
-                     generations=spec.generations, workers=workers)
-
-    if span_tracer is not None:
-        span_tracer.name_lane(span_tracer.pid, "explore driver")
-        explore_span = span_tracer.span(
-            "explore", population=spec.population,
-            generations=spec.generations, workers=workers,
-        )
-        explore_span.__enter__()
-    else:
-        explore_span = None
-
-    try:
-        model: Optional[DependabilityModel] = None
-        if spec.scenario is not None:
-            if span_tracer is not None:
-                with span_tracer.span("dependability_model",
-                                      scenario=spec.scenario,
-                                      faults=spec.scenario_faults):
-                    model = measure_dependability(
-                        spec.scenario, spec.scenario_faults,
-                        spec.scenario_seed, workers=workers,
-                        cache=cache, span_tracer=span_tracer,
-                        metrics=metrics, batch=True,
-                    )
-            else:
-                model = measure_dependability(
-                    spec.scenario, spec.scenario_faults,
-                    spec.scenario_seed, workers=workers, cache=cache,
-                    metrics=metrics, batch=True,
-                )
-
-        extra = {"problem": spec.problem.to_dict()}
-        archive_order: List[str] = []          # fingerprints, first-seen
-        records: Dict[str, Dict[str, Any]] = {}
-        full_genomes: Dict[str, Genome] = {}   # fp → full (hidden genes)
-
-        evaluator = _Evaluator(
-            space, spec, extra, workers, cache, metrics, span_tracer,
-            stats, archive_order, records, full_genomes,
-            recorder=recorder, emitter=emitter,
-        )
-
+    # the distinct owner keeps this stream apart from the campaign
+    # coordinator (and a workers=1 in-process shard) sharing the pid
+    ledger = CellLedger(
+        "explore", workers, store=cache, metrics=metrics,
+        span_tracer=span_tracer, recorder=recorder,
+        owner=f"explore:{os.getpid()}", unit="genome",
+        population=spec.population, generations=spec.generations,
+    )
+    metrics = ledger.metrics
+    with ledger:
+        model = _dependability_model(spec, ledger)
+        archive = _Archive(spec, ledger)
         rng = random.Random(spec.ga_seed)
         history: List[Dict[str, Any]] = []
         bounds: Optional[Tuple[Tuple[float, ...],
@@ -420,15 +370,14 @@ def explore(
         best_scalar: Optional[float] = None
 
         population = doe_population(
-            space, spec.population, seed=spec.ga_seed,
+            archive.space, spec.population, seed=spec.ga_seed,
         )
         for generation in range(spec.generations):
-            evaluator.evaluate(population, generation)
+            with ledger.span("generation", generation=generation,
+                             population=len(population)):
+                archive.evaluate(population)
 
-            points = [
-                objectives_from_record(records[fp], model)
-                for fp in archive_order
-            ]
+            points = archive.points(model)
             if bounds is None:  # frozen at the DoE generation, so
                 bounds = objective_bounds(points)  # hv is comparable
             hv = normalized_hypervolume(points, bounds[0], bounds[1])
@@ -441,21 +390,21 @@ def explore(
             best_scalar = gen_best if improved else best_scalar
             history.append({
                 "generation": generation,
-                "archive": len(archive_order),
+                "archive": len(points),
                 "front_size": len(fronts[0]),
                 "hypervolume": hv,
                 "best_scalar": gen_best,
-                "best_fingerprint": archive_order[ranked[0][0]],
+                "best_fingerprint": ledger.order[ranked[0][0]],
             })
             metrics.counter("explore.generations").inc()
-            if emitter is not None:
-                emitter.emit("generation", **history[-1])
+            if ledger.emitter is not None:
+                ledger.emitter.emit("generation", **history[-1])
             if probe is not None:
                 probe.record(
                     "explore", gen_best, best_cost=best_scalar,
                     accepted=improved, generation=generation,
                     front_size=len(fronts[0]), hypervolume=hv,
-                    archive=len(archive_order),
+                    archive=len(points),
                 )
             if span_tracer is not None:
                 span_tracer.event(
@@ -464,47 +413,11 @@ def explore(
                 )
             if generation == spec.generations - 1:
                 break
-            parents = _select_parents(
-                space, spec, fronts, points, archive_order,
-                full_genomes,
-            )
-            population = _breed(space, spec, parents, rng)
+            parents = _select_parents(spec, fronts, points,
+                                      archive.parents_of())
+            population = _breed(archive.space, spec, parents, rng)
 
-        result = ExploreResult(
-            spec=spec,
-            objectives=objective_names(model),
-            bounds=bounds,
-            model=model,
-            rows=[
-                {
-                    "fingerprint": fp,
-                    "objectives": list(
-                        objectives_from_record(records[fp], model)
-                    ),
-                    "record": records[fp],
-                }
-                for fp in archive_order
-            ],
-            history=history,
-        )
-    finally:
-        if explore_span is not None:
-            explore_span.__exit__(*sys.exc_info())
-
-    stats.elapsed_s = time.perf_counter() - t0
-    if emitter is not None:
-        # the final beat carries ``exiting`` so post-mortems read a
-        # completed exploration as exited, not dead (rate limiting
-        # would otherwise swallow it on short runs)
-        emitter.heartbeat(force=True, exiting=True,
-                          done=stats.computed + stats.cache_hits,
-                          cache_hits=stats.cache_hits)
-        emitter.emit("run", event="finish",
-                     archive=len(result.rows),
-                     computed=stats.computed,
-                     cache_hits=stats.cache_hits,
-                     elapsed_s=stats.elapsed_s)
-    result.stats = stats
+    result = archive.result(model, bounds, history)
     if span_tracer is not None or probe is not None:
         result.obs = {"span_tracer": span_tracer, "probe": probe,
                       "metrics": metrics}
@@ -528,176 +441,129 @@ def random_search(
     """
     if evaluations < 1:
         raise ValueError("evaluations must be >= 1")
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    t0 = time.perf_counter()
-    space = spec.space()
-    stats = ExploreStats(workers=workers)
-    model: Optional[DependabilityModel] = None
-    if spec.scenario is not None:
-        model = measure_dependability(
-            spec.scenario, spec.scenario_faults, spec.scenario_seed,
-            workers=workers, cache=cache, metrics=metrics, batch=True,
-        )
-    extra = {"problem": spec.problem.to_dict()}
-    archive_order: List[str] = []
-    records: Dict[str, Dict[str, Any]] = {}
-    full_genomes: Dict[str, Genome] = {}
-    evaluator = _Evaluator(
-        space, spec, extra, workers, cache, metrics, None,
-        stats, archive_order, records, full_genomes,
-    )
-    rng = random.Random(spec.ga_seed)
-    population = [space.random_genome(rng) for _ in range(evaluations)]
-    evaluator.evaluate(population, 0)
-    points = [
-        objectives_from_record(records[fp], model)
-        for fp in archive_order
-    ]
+    with CellLedger("explore", workers, store=cache, metrics=metrics,
+                    unit="genome") as ledger:
+        model = _dependability_model(spec, ledger)
+        archive = _Archive(spec, ledger)
+        rng = random.Random(spec.ga_seed)
+        archive.evaluate([archive.space.random_genome(rng)
+                          for _ in range(evaluations)])
+    points = archive.points(model)
     bounds = objective_bounds(points)
-    hv = normalized_hypervolume(points, bounds[0], bounds[1])
-    result = ExploreResult(
-        spec=spec,
-        objectives=objective_names(model),
-        bounds=bounds,
-        model=model,
-        rows=[
-            {
-                "fingerprint": fp,
-                "objectives": list(
-                    objectives_from_record(records[fp], model)
-                ),
-                "record": records[fp],
-            }
-            for fp in archive_order
-        ],
-        history=[{
-            "generation": 0,
-            "archive": len(archive_order),
-            "front_size": len(pareto_front(points)),
-            "hypervolume": hv,
-            "best_scalar": weighted_sum_rank(
-                points, weights=spec.mcdm_weights, bounds=bounds,
-            )[0][1],
-            "best_fingerprint": None,
-        }],
-    )
-    stats.elapsed_s = time.perf_counter() - t0
-    result.stats = stats
-    return result
+    return archive.result(model, bounds, [{
+        "generation": 0,
+        "archive": len(points),
+        "front_size": len(pareto_front(points)),
+        "hypervolume": normalized_hypervolume(points, bounds[0],
+                                              bounds[1]),
+        "best_scalar": weighted_sum_rank(
+            points, weights=spec.mcdm_weights, bounds=bounds,
+        )[0][1],
+        "best_fingerprint": None,
+    }])
 
 
 # ----------------------------------------------------------------------
 # internals
 # ----------------------------------------------------------------------
-class _Evaluator:
-    """Population evaluation with archive/cache dedup and fan-out.
+def _dependability_model(
+    spec: ExploreSpec, ledger: CellLedger,
+) -> Optional[DependabilityModel]:
+    """The spec's campaign-measured model (None for 2-D searches)."""
+    if spec.scenario is None:
+        return None
+    with ledger.span("dependability_model", scenario=spec.scenario,
+                     faults=spec.scenario_faults):
+        return measure_dependability(
+            spec.scenario, spec.scenario_faults, spec.scenario_seed,
+            workers=ledger.workers, cache=ledger.store,
+            span_tracer=ledger.span_tracer, metrics=ledger.metrics,
+            batch=True,
+        )
 
-    Archive insertion follows *population order*, never completion
-    order, which is what keeps row order — and therefore every
-    serialized table — independent of worker scheduling.
+
+class _Archive:
+    """Every genome one search evaluated, in first-request order.
+
+    The order is the ledger's: a genome joins the archive when it is
+    first requested, whether its record then comes from the store or
+    from the fan-out.  Row order — and so every serialized table —
+    depends neither on worker scheduling nor on how warm the store is.
     """
 
-    def __init__(self, space, spec, extra, workers, cache, metrics,
-                 span_tracer, stats, archive_order, records,
-                 full_genomes, recorder=None, emitter=None) -> None:
-        self.space = space
-        self.recorder = recorder
-        self.emitter = emitter
+    def __init__(self, spec: ExploreSpec, ledger: CellLedger) -> None:
         self.spec = spec
-        self.extra = extra
-        self.workers = workers
-        self.cache = cache
-        self.metrics = metrics
-        self.span_tracer = span_tracer
-        self.stats = stats
-        self.archive_order = archive_order
-        self.records = records
-        self.full_genomes = full_genomes
+        self.space = spec.space()
+        self.ledger = ledger
+        self.problem = spec.problem.to_dict()
+        self.full_genomes: Dict[str, Genome] = {}  # fp → with hidden genes
+        self.archive_hits = 0   # revisited across generations
+        self.duplicates = 0     # repeated within one population
 
-    def evaluate(self, population: Sequence[Genome],
-                 generation: int) -> None:
+    def evaluate(self, population: Sequence[Genome]) -> None:
         """Ensure every genome of the population is in the archive."""
-        metrics = self.metrics
-        if self.span_tracer is not None:
-            gen_span = self.span_tracer.span(
-                "generation", generation=generation,
-                population=len(population),
-            )
-            gen_span.__enter__()
-        else:
-            gen_span = None
-        try:
-            pending: List[Tuple[str, Dict[str, Any]]] = []
-            seen_now = set()
-            for genome in population:
-                self.stats.requested += 1
-                metrics.counter("explore.genomes.requested").inc()
-                fp = self.space.fingerprint(genome, extra=self.extra)
-                self.full_genomes.setdefault(fp, dict(genome))
-                if fp in seen_now:
-                    self.stats.duplicates += 1
-                    metrics.counter("explore.genomes.duplicate").inc()
-                    continue
-                seen_now.add(fp)
-                if fp in self.records:
-                    self.stats.archive_hits += 1
-                    metrics.counter("explore.archive.hits").inc()
-                    continue
-                cached = (self.cache.get(fp)
-                          if self.cache is not None else None)
-                if cached is not None:
-                    self.records[fp] = cached
-                    self.archive_order.append(fp)
-                    self.stats.cache_hits += 1
-                    metrics.counter("explore.cache.hits").inc()
-                    continue
-                metrics.counter("explore.cache.misses").inc()
-                pending.append((fp, {
-                    "genome": self.space.effective(genome),
-                    "problem": self.spec.problem.to_dict(),
-                }))
-            if pending:
-                self._run_pending(pending)
-        finally:
-            if gen_span is not None:
-                gen_span.__exit__(*sys.exc_info())
+        metrics = self.ledger.metrics
+        seen_now = set()
+        for genome in population:
+            metrics.counter("explore.genomes.requested").inc()
+            fp = self.space.fingerprint(genome,
+                                        extra={"problem": self.problem})
+            self.full_genomes.setdefault(fp, dict(genome))
+            verdict = self.ledger.want(fp, {
+                "genome": self.space.effective(genome),
+                "problem": self.problem,
+            })
+            if fp in seen_now:
+                self.duplicates += 1
+                metrics.counter("explore.genomes.duplicate").inc()
+            elif verdict == KNOWN:
+                self.archive_hits += 1
+                metrics.counter("explore.archive.hits").inc()
+            seen_now.add(fp)
+        self.ledger.run()
 
-    def _run_pending(
-        self, pending: List[Tuple[str, Dict[str, Any]]],
-    ) -> None:
-        results: Dict[str, Dict[str, Any]] = {}
-        metrics = self.metrics
+    def points(self, model) -> List[Tuple[float, ...]]:
+        """Objective vectors, in archive order."""
+        records = self.ledger.records
+        return [objectives_from_record(records[fp], model)
+                for fp in self.ledger.order]
 
-        def finish(fp: str, record: Dict[str, Any],
-                   timing: CellTiming,
-                   obs: Optional[Dict[str, Any]]) -> None:
-            results[fp] = record
-            self.stats.computed += 1
-            if self.emitter is not None:
-                self.emitter.heartbeat(
-                    done=self.stats.computed + self.stats.cache_hits,
-                    requested=self.stats.requested)
-            metrics.counter("explore.genomes.computed").inc()
-            metrics.histogram("explore.genome.elapsed_s").observe(
-                timing.elapsed_s)
+    def parents_of(self) -> List[Genome]:
+        """Full genomes (hidden genes kept), in archive order."""
+        return [self.full_genomes[fp] for fp in self.ledger.order]
 
-        run_jobs("explore", pending, self.workers, finish,
-                 store=self.cache, metrics=metrics,
-                 span_tracer=self.span_tracer, recorder=self.recorder)
-
-        # archive in population order, not completion order
-        for fp, _ in pending:
-            self.records[fp] = results[fp]
-            self.archive_order.append(fp)
+    def result(self, model, bounds, history) -> ExploreResult:
+        """Package the archive as an :class:`ExploreResult`."""
+        ledger = self.ledger
+        result = ExploreResult(
+            spec=self.spec,
+            objectives=objective_names(model),
+            bounds=bounds,
+            model=model,
+            rows=[
+                {
+                    "fingerprint": fp,
+                    "objectives": list(point),
+                    "record": ledger.records[fp],
+                }
+                for fp, point in zip(ledger.order, self.points(model))
+            ],
+            history=history,
+        )
+        result.stats = ExploreStats(
+            requested=ledger.requested, computed=ledger.computed,
+            cache_hits=ledger.cache_hits, archive_hits=self.archive_hits,
+            duplicates=self.duplicates, workers=ledger.workers,
+            elapsed_s=ledger.elapsed_s,
+        )
+        return result
 
 
 def _select_parents(
-    space: SearchSpace,
     spec: ExploreSpec,
     fronts: List[List[int]],
     points: List[Tuple[float, ...]],
-    archive_order: List[str],
-    full_genomes: Dict[str, Genome],
+    genomes: List[Genome],
 ) -> List[Genome]:
     """Elitist parent pool: best ``population`` archive members by
     (front rank, crowding distance, archive index) — a total,
@@ -715,9 +581,7 @@ def _select_parents(
             if len(chosen) >= spec.population:
                 break
             chosen.append(front[k])
-    return [
-        full_genomes[archive_order[i]] for i in chosen
-    ]
+    return [genomes[i] for i in chosen]
 
 
 def _breed(

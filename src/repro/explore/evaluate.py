@@ -29,12 +29,13 @@ record, never inside workers:
 
 from __future__ import annotations
 
-import os
+import contextlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from repro.campaign.runners import WorkerObservation
 from repro.cosim.metrics import MetricsRegistry
-from repro.explore.genome import Genome, SearchSpace, split_genome
+from repro.explore.genome import Genome, split_genome
 from repro.obs.spans import SpanTracer
 from repro.partition import HEURISTICS, CostWeights
 from repro.partition.knobs import validate_knobs
@@ -94,27 +95,39 @@ def genome_config(genome: Genome, problem: ProblemSpec) -> SweepConfig:
     )
 
 
-def run_genome(payload: Dict[str, Any]) -> Dict[str, Any]:
+def run_genome(payload: Dict[str, Any],
+               obs: Optional[WorkerObservation] = None) -> Dict[str, Any]:
     """Evaluate one genome payload (top-level: pool workers pickle it).
 
     ``payload`` is plain JSON: ``{"genome": <effective genome>,
     "problem": <ProblemSpec dict>}`` — the same dict the campaign
     store queues, so pool mode and store mode run identical code.
+    With ``obs`` the evaluation also records its ``genome`` span and
+    the worker counters; the record is the same either way.
     """
-    from repro.partition.cost import cost_terms, partition_cost
+    from repro.partition.cost import cost_terms
 
     genome: Genome = payload["genome"]
-    problem_spec = ProblemSpec.from_dict(payload["problem"])
-    core, knobs, weight_genes = split_genome(genome)
-    validate_knobs(core["heuristic"], knobs)
-    config = genome_config(genome, problem_spec)
-    problem = config.build_problem()
-    tuning = CostWeights(**weight_genes) if weight_genes \
-        else CostWeights()
-    heuristic = HEURISTICS[core["heuristic"]]
-    result = heuristic(
-        problem, weights=tuning, seed=config.heuristic_seed(), **knobs,
-    )
+    span = (obs.spans.span("genome", heuristic=genome.get("heuristic"),
+                           generator=genome.get("generator"))
+            if obs is not None else contextlib.nullcontext())
+    with span:
+        problem_spec = ProblemSpec.from_dict(payload["problem"])
+        core, knobs, weight_genes = split_genome(genome)
+        validate_knobs(core["heuristic"], knobs)
+        config = genome_config(genome, problem_spec)
+        problem = config.build_problem()
+        tuning = CostWeights(**weight_genes) if weight_genes \
+            else CostWeights()
+        heuristic = HEURISTICS[core["heuristic"]]
+        result = heuristic(
+            problem, weights=tuning, seed=config.heuristic_seed(),
+            **knobs,
+        )
+    if obs is not None:
+        obs.metrics.counter("explore.worker.genomes").inc()
+        obs.metrics.counter(
+            f"explore.heuristic.{result.algorithm}.genomes").inc()
     evaluation = result.evaluation
     raw = cost_terms(problem, evaluation, result.hw_tasks)
     return {
@@ -136,33 +149,6 @@ def run_genome(payload: Dict[str, Any]) -> Dict[str, Any]:
         "feasible": result.feasible,
         "moves_evaluated": result.moves_evaluated,
     }
-
-
-def run_genome_observed(
-    payload: Dict[str, Any],
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """:func:`run_genome` plus the worker-side observability payload.
-
-    Mirrors :func:`repro.sweep.engine.run_cell_observed`: the record
-    is byte-identical to the unobserved path; spans and metric deltas
-    ride alongside for the parent to merge onto its timeline.
-    """
-    spans = SpanTracer()
-    spans.name_lane(spans.pid, f"explore worker {os.getpid()}")
-    metrics = MetricsRegistry()
-    genome: Genome = payload["genome"]
-    with spans.span("genome", heuristic=genome.get("heuristic"),
-                    generator=genome.get("generator")):
-        record = run_genome(payload)
-    metrics.counter("explore.worker.genomes").inc()
-    metrics.counter(
-        f"explore.heuristic.{record['algorithm']}.genomes").inc()
-    obs = {
-        "pid": os.getpid(),
-        "spans": spans.snapshot(),
-        "metrics": metrics.snapshot(),
-    }
-    return record, obs
 
 
 def reference_cost(record: Dict[str, Any],

@@ -65,7 +65,6 @@ from repro.fault.campaign import (
     classify,
     run_campaign,
     run_fault_cell,
-    run_fault_cell_observed,
 )
 
 __all__ = [
@@ -96,5 +95,4 @@ __all__ = [
     "classify",
     "run_campaign",
     "run_fault_cell",
-    "run_fault_cell_observed",
 ]

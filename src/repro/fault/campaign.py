@@ -31,18 +31,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.campaign.service import CellTiming, run_jobs
+from repro.campaign.runners import WorkerObservation
+from repro.campaign.service import CellLedger, CellTiming
 from repro.campaign.store import CampaignStore
 from repro.fault.scenarios import lookup_scenario, run_scenario
 from repro.fault.spec import CPU_KINDS, FAULT_VERSION, OUTCOMES, FaultSpec
 from repro.cosim.metrics import MetricsRegistry
-from repro.obs.live import TelemetryEmitter
 from repro.obs.spans import SpanTracer
 
 #: A campaign job: (scenario name, fault dict or None for golden).
@@ -60,52 +58,45 @@ def cell_fingerprint(scenario: str, fault: Optional[FaultSpec]) -> str:
     schema change invalidates old entries instead of misclassifying
     against them.
     """
-    doc = {
-        "version": FAULT_VERSION,
+    return _cell_job(scenario, fault)[0]
+
+
+def _cell_job(scenario: str,
+              fault: Optional[FaultSpec]) -> Tuple[str, Dict[str, Any]]:
+    """``(fingerprint, runner payload)``: the key hashes the payload."""
+    payload = {
         "scenario": scenario,
         "fault": fault.to_dict() if fault is not None else None,
     }
+    doc = {"version": FAULT_VERSION, **payload}
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":"))
         .encode("utf-8")
-    ).hexdigest()
+    ).hexdigest(), payload
 
 
-def run_fault_cell(job: Job) -> Dict[str, Any]:
-    """Run one campaign cell (the body of the ``fault`` runner)."""
-    scenario, fault_dict = job
-    fault = FaultSpec.from_dict(fault_dict) if fault_dict else None
-    return run_scenario(scenario, fault)
+def run_fault_cell(job: Job,
+                   obs: Optional[WorkerObservation] = None
+                   ) -> Dict[str, Any]:
+    """Run one campaign cell (the body of the ``fault`` runner).
 
-
-def run_fault_cell_observed(
-    job: Job,
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """:func:`run_fault_cell` plus a worker-side observability payload.
-
-    Mirrors :func:`repro.sweep.engine.run_cell_observed`: the record is
-    byte-identical to the unobserved path (so caches stay comparable);
-    the extra spans/metrics ride alongside for the parent to merge onto
-    its Perfetto timeline.
+    With ``obs`` the run also records its ``fault_cell`` span and the
+    worker counters for the parent to merge onto its timeline; the
+    record is the same either way.
     """
     scenario, fault_dict = job
     fault = FaultSpec.from_dict(fault_dict) if fault_dict else None
-    spans = SpanTracer()
-    spans.name_lane(spans.pid, f"fault worker {os.getpid()}")
-    metrics = MetricsRegistry()
+    if obs is None:
+        return run_scenario(scenario, fault)
     label = fault.describe() if fault is not None else "golden"
-    with spans.span("fault_cell", scenario=scenario, fault=label,
-                    kind=(fault.kind if fault is not None else "none")):
+    with obs.spans.span("fault_cell", scenario=scenario, fault=label,
+                        kind=(fault.kind if fault is not None
+                              else "none")):
         record = run_scenario(scenario, fault)
-    metrics.counter("fault.cells").inc()
+    obs.metrics.counter("fault.cells").inc()
     if fault is not None:
-        metrics.counter(f"fault.kind.{fault.kind}.cells").inc()
-    obs = {
-        "pid": os.getpid(),
-        "spans": spans.snapshot(),
-        "metrics": metrics.snapshot(),
-    }
-    return record, obs
+        obs.metrics.counter(f"fault.kind.{fault.kind}.cells").inc()
+    return record
 
 
 def classify(golden: Dict[str, Any], faulty: Dict[str, Any]) -> str:
@@ -267,119 +258,28 @@ def run_campaign(
     """
     scenario_obj = lookup_scenario(scenario)
     faults = list(faults)
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    t0 = time.perf_counter()
-    stats = CampaignStats(faults=len(faults), workers=workers)
+    ledger = CellLedger("fault", workers, store=cache, metrics=metrics,
+                        span_tracer=span_tracer, recorder=recorder,
+                        span_name="campaign", scenario=scenario,
+                        faults=len(faults))
+    metrics = ledger.metrics
     metrics.counter("fault.campaign.faults").inc(len(faults))
 
-    if span_tracer is not None:
-        span_tracer.name_lane(span_tracer.pid, "fault campaign")
-        campaign_span = span_tracer.span(
-            "campaign", scenario=scenario, faults=len(faults),
-            workers=workers,
-        )
-        campaign_span.__enter__()
-    else:
-        campaign_span = None
-
-    records: Dict[str, Dict[str, Any]] = {}
-    #: (fingerprint, fault or None for golden) of every uncached cell
-    pending: List[Tuple[str, Optional[FaultSpec]]] = []
-
     def want(fault: Optional[FaultSpec]) -> str:
-        """Register one cell; returns its fingerprint."""
-        fingerprint = cell_fingerprint(scenario, fault)
-        if fingerprint in records:
-            stats.duplicates += 1
-            return fingerprint
-        cached = cache.get(fingerprint) if cache is not None else None
-        if cached is not None:
-            records[fingerprint] = cached
-            stats.cache_hits += 1
-            metrics.counter("fault.cache.hits").inc()
-        else:
-            records[fingerprint] = {}  # reserve against duplicates
-            pending.append((fingerprint, fault))
-            metrics.counter("fault.cache.misses").inc()
+        """Request one cell; returns its fingerprint."""
+        fingerprint, payload = _cell_job(scenario, fault)
+        ledger.want(fingerprint, payload)
         return fingerprint
 
-    #: without a store the parent emits the run marks itself; a store
-    #: hands the recorder to the campaign service (coordinator + shard
-    #: streams) instead
-    emitter = None
-    if recorder is not None and cache is None:
-        emitter = TelemetryEmitter(recorder, role="fault")
-        emitter.emit("run", event="start", scenario=scenario,
-                     faults=len(faults), workers=workers)
-
-    def finish(fingerprint: str, record: Dict[str, Any],
-               timing: CellTiming,
-               obs: Optional[Dict[str, Any]] = None) -> None:
-        records[fingerprint] = record
-        stats.computed += 1
-        if emitter is not None:
-            emitter.heartbeat(done=stats.computed + stats.cache_hits,
-                              cache_hits=stats.cache_hits,
-                              total=len(faults) + 1)
-        metrics.counter("fault.cells.computed").inc()
-        metrics.histogram("fault.cell.elapsed_s").observe(
-            timing.elapsed_s)
-        if timing.wait_s is not None:
-            metrics.histogram("fault.cell.wait_s").observe(
-                timing.wait_s)
-
-    try:
+    with ledger:
         golden_fp = want(None)
         fault_fps = [want(fault) for fault in faults]
+        if batch and scenario_obj.software is not None:
+            _run_batch(ledger, scenario_obj, {
+                golden_fp: None, **dict(zip(fault_fps, faults))})
+        ledger.run()
 
-        if batch and pending and scenario_obj.software is not None:
-            lanes = [(fp, fault) for fp, fault in pending
-                     if fault is None or fault.kind in CPU_KINDS]
-            pending = [(fp, fault) for fp, fault in pending
-                       if fault is not None
-                       and fault.kind not in CPU_KINDS]
-            if lanes:
-                from repro.fault.scenarios import run_sw_batch
-
-                t_batch = time.perf_counter()
-                lane_records, batch_stats = run_sw_batch(
-                    scenario_obj, [fault for _, fault in lanes]
-                )
-                per_cell = (time.perf_counter() - t_batch) / len(lanes)
-                metrics.counter("fault.batch.lanes").inc(
-                    batch_stats.lanes)
-                metrics.counter("fault.batch.dispatches").inc(
-                    batch_stats.dispatches)
-                metrics.counter("fault.batch.drained").inc(
-                    batch_stats.drained())
-                metrics.histogram("fault.batch.occupancy").observe(
-                    batch_stats.occupancy())
-                if emitter is not None:
-                    emitter.emit(
-                        "batch", scenario=scenario,
-                        lanes=batch_stats.lanes,
-                        dispatches=batch_stats.dispatches,
-                        drained=batch_stats.drained(),
-                        occupancy=round(batch_stats.occupancy(), 4),
-                        reasons=dict(batch_stats.reasons),
-                    )
-                for (fp, _fault), record in zip(lanes, lane_records):
-                    finish(fp, record, CellTiming(per_cell))
-                if cache is not None:
-                    cache.put_many(
-                        (fp, records[fp]) for fp, _fault in lanes)
-
-        run_jobs(
-            "fault",
-            [(fp, {"scenario": scenario,
-                   "fault": fault.to_dict() if fault is not None
-                   else None})
-             for fp, fault in pending],
-            workers, finish, store=cache, metrics=metrics,
-            span_tracer=span_tracer, recorder=recorder,
-        )
-
-        golden = records[golden_fp]
+        golden = ledger.records[golden_fp]
         if golden.get("error") or not golden.get("completed") \
                 or golden.get("detected"):
             raise CampaignError(
@@ -389,7 +289,7 @@ def run_campaign(
 
         result = CampaignResult(scenario=scenario, golden=golden)
         for fault, fingerprint in zip(faults, fault_fps):
-            record = records[fingerprint]
+            record = ledger.records[fingerprint]
             result.rows.append({
                 "fault": fault.to_dict(),
                 "label": fault.describe(),
@@ -397,28 +297,51 @@ def run_campaign(
                 "outcome": classify(golden, record),
                 "record": record,
             })
-    finally:
-        # never leave the campaign span open, whether the fan-out
-        # failed or the golden run was unusable
-        if campaign_span is not None:
-            campaign_span.__exit__(*sys.exc_info())
 
-    stats.elapsed_s = time.perf_counter() - t0
-    if emitter is not None:
-        # the final beat carries ``exiting`` so post-mortems read a
-        # completed campaign as exited, not dead (rate limiting would
-        # otherwise swallow it on short runs)
-        emitter.heartbeat(force=True, exiting=True,
-                          done=stats.computed + stats.cache_hits,
-                          cache_hits=stats.cache_hits,
-                          total=len(faults) + 1)
-        emitter.emit("run", event="finish", scenario=scenario,
-                     done=stats.computed + stats.cache_hits,
-                     computed=stats.computed,
-                     cache_hits=stats.cache_hits,
-                     elapsed_s=stats.elapsed_s)
-    result.stats = stats
+    result.stats = CampaignStats(
+        faults=len(faults), computed=ledger.computed,
+        cache_hits=ledger.cache_hits, duplicates=ledger.duplicates,
+        workers=workers, elapsed_s=ledger.elapsed_s,
+    )
     for outcome, count in result.histogram().items():
         metrics.counter(f"fault.outcome.{outcome}").inc(count)
     return result
 
+
+def _run_batch(ledger: CellLedger, scenario_obj,
+               spec_of: Dict[str, Optional[FaultSpec]]) -> None:
+    """Take the golden and CPU-fault cells out of ``ledger.pending``
+    and run them as lanes of one batch machine in this process,
+    committing their records to the store when there is one."""
+    lanes = [fp for fp, _payload in ledger.pending
+             if spec_of[fp] is None or spec_of[fp].kind in CPU_KINDS]
+    if not lanes:
+        return
+    taken = set(lanes)
+    ledger.pending = [job for job in ledger.pending if job[0] not in taken]
+    from repro.fault.scenarios import run_sw_batch
+
+    t_batch = time.perf_counter()
+    lane_records, batch_stats = run_sw_batch(
+        scenario_obj, [spec_of[fp] for fp in lanes]
+    )
+    per_cell = (time.perf_counter() - t_batch) / len(lanes)
+    metrics = ledger.metrics
+    metrics.counter("fault.batch.lanes").inc(batch_stats.lanes)
+    metrics.counter("fault.batch.dispatches").inc(batch_stats.dispatches)
+    metrics.counter("fault.batch.drained").inc(batch_stats.drained())
+    metrics.histogram("fault.batch.occupancy").observe(
+        batch_stats.occupancy())
+    if ledger.emitter is not None:
+        ledger.emitter.emit(
+            "batch", scenario=scenario_obj.name,
+            lanes=batch_stats.lanes,
+            dispatches=batch_stats.dispatches,
+            drained=batch_stats.drained(),
+            occupancy=round(batch_stats.occupancy(), 4),
+            reasons=dict(batch_stats.reasons),
+        )
+    for fp, record in zip(lanes, lane_records):
+        ledger.finish(fp, record, CellTiming(per_cell))
+    if ledger.store is not None:
+        ledger.store.put_many((fp, ledger.records[fp]) for fp in lanes)

@@ -108,7 +108,9 @@ class JsonlRecorder:
     mode per process (reopened after a ``fork``, like the campaign
     store's connection), every record is a single ``write`` call, and
     a crash mid-write corrupts at most the final line — which
-    :func:`read_samples` skips instead of raising.
+    :func:`read_samples` skips instead of raising.  A process that
+    (re)opens a file ending in such a torn line first ends it with a
+    newline, so its own first sample starts a line of its own.
     """
 
     def __init__(self, path) -> None:
@@ -122,6 +124,8 @@ class JsonlRecorder:
         if self._fh is None or self._fh_pid != pid:
             self._fh = open(self.path, "a", encoding="utf-8")
             self._fh_pid = pid
+            if _torn(self.path):
+                self._fh.write("\n")
         return self._fh
 
     def record(self, sample: TelemetrySample) -> None:
@@ -136,6 +140,15 @@ class JsonlRecorder:
             self._fh.close()
         self._fh = None
         self._fh_pid = None
+
+
+def _torn(path: Path) -> bool:
+    """Whether the file is non-empty and its last line unterminated."""
+    with open(path, "rb") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return False
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) != b"\n"
 
 
 class StoreRecorder:

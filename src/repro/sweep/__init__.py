@@ -36,6 +36,7 @@ from repro.sweep.config import (
     COMM_MODELS,
     CONFIG_VERSION,
     SweepConfig,
+    SweepConfigError,
     expand_grid,
     parse_seed_spec,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "COMM_MODELS",
     "CONFIG_VERSION",
     "SweepConfig",
+    "SweepConfigError",
     "expand_grid",
     "parse_seed_spec",
     "SweepResult",

@@ -44,6 +44,31 @@ COMM_MODELS: Dict[str, CommModel] = {
 }
 
 
+class SweepConfigError(KeyError):
+    """A malformed :meth:`SweepConfig.from_dict` payload.
+
+    A :class:`KeyError` for callers that caught the old unknown-field
+    error; the message names every bad field.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+#: ``from_dict`` field → accepted types (a ``bool`` is never a number).
+_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
+    "generator": (str,),
+    "n_tasks": (int,),
+    "cost_model": (str,),
+    "heuristic": (str,),
+    "seed": (int,),
+    "comm": (str,),
+    "deadline_factor": (int, float, type(None)),
+    "area_budget_factor": (int, float, type(None)),
+    "hw_parallelism": (int, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One fully-specified sweep cell.
@@ -102,11 +127,37 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SweepConfig":
-        """Rebuild from :meth:`to_dict` output; unknown keys rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """Rebuild from :meth:`to_dict` output.
+
+        Every sweep job payload crosses this boundary, so a malformed
+        dict raises :class:`SweepConfigError` naming each unknown
+        field, each missing field (:meth:`to_dict` writes them all;
+        a gap would silently become a default) and each field of the
+        wrong type.
+        """
+        if not isinstance(data, dict):
+            raise SweepConfigError(
+                f"a sweep config must be a dict, not "
+                f"{type(data).__name__}")
+        problems = []
+        unknown = sorted(set(data) - set(_FIELD_TYPES))
         if unknown:
-            raise KeyError(f"unknown config fields: {sorted(unknown)}")
+            problems.append(f"unknown config fields: {unknown}")
+        missing = [name for name in _FIELD_TYPES if name not in data]
+        if missing:
+            problems.append(f"missing config fields: {missing}")
+        for name, value in data.items():
+            accepted = _FIELD_TYPES.get(name)
+            if accepted is not None and (isinstance(value, bool)
+                                         or not isinstance(value, accepted)):
+                names = " or ".join(
+                    "None" if t is type(None) else t.__name__
+                    for t in accepted)
+                problems.append(
+                    f"config field {name!r} must be {names}, "
+                    f"got {type(value).__name__} {value!r}")
+        if problems:
+            raise SweepConfigError("; ".join(problems))
         return cls(**data)
 
     def canonical_json(self) -> str:

@@ -1,7 +1,8 @@
 """The parallel experiment-sweep engine.
 
-``run_sweep`` hands the uncached cells of a grid of
-:class:`repro.sweep.config.SweepConfig` to
+``run_sweep`` books a grid of :class:`repro.sweep.config.SweepConfig`
+cells in a :class:`repro.campaign.service.CellLedger`, which serves
+cached cells from the store and hands the rest to
 :func:`repro.campaign.service.run_jobs` — a process pool, or the
 durable campaign service when a store is attached — and assembles a
 :class:`repro.sweep.table.SweepResult`.  Three properties make the
@@ -35,30 +36,22 @@ observability payload travels next to the rows, never inside them.
 from __future__ import annotations
 
 import dataclasses
-import os
-import sys
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
+from repro.campaign.runners import WorkerObservation
 from repro.campaign.service import (
     CampaignCellError,
-    CellTiming,
+    CellLedger,
     PoolJobError,
-    run_jobs,
 )
 from repro.campaign.store import CampaignStore
 from repro.cosim.metrics import MetricsRegistry
-from repro.cosim.trace import Tracer
-from repro.obs.live import TelemetryEmitter
 from repro.obs.spans import SpanTracer
 from repro.obs import convergence_sink
 from repro.partition import CostWeights, HEURISTICS, ProgressProbe
 from repro.sweep.config import SweepConfig
 from repro.sweep.table import SweepResult
-
-#: Trace-record kind emitted per completed/cached cell.
-SWEEP_CELL = "sweep_cell"
 
 
 def _cell_record(
@@ -92,42 +85,32 @@ def _cell_record(
 
 
 def run_cell(
-    config: SweepConfig, weights: Optional[CostWeights] = None
+    config: SweepConfig,
+    weights: Optional[CostWeights] = None,
+    obs: Optional[WorkerObservation] = None,
 ) -> Dict[str, Any]:
     """Execute one sweep cell: generate, partition, evaluate, record.
 
     Returns a plain JSON-serializable dict (the table row).  Everything
     in it is a pure function of the config — no timestamps, no host
     identity — so rows are comparable and cacheable across machines.
+
+    With ``obs`` the cell also records, in this process, the ``cell``
+    span with its ``build_problem``/``partition`` phases, the
+    heuristic's convergence records (``obs.extra["probe"]``) and the
+    worker counters — the form the ``sweep_observed`` runner ships
+    back for the parent to merge.  The row is the same either way.
     """
     weights = weights if weights is not None else CostWeights()
-    problem = config.build_problem()
     heuristic = HEURISTICS[config.heuristic]
-    result = heuristic(
-        problem, weights=weights, seed=config.heuristic_seed()
-    )
-    return _cell_record(config, problem, result)
-
-
-def run_cell_observed(
-    config: SweepConfig, weights: Optional[CostWeights] = None
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """:func:`run_cell` with full observability collected *in this
-    process* — the form the engine runs inside pool workers.
-
-    Returns ``(record, obs)``: the identical table row, plus a
-    JSON-serializable observability payload — worker-side spans
-    (build/partition phases nested under the cell span), per-iteration
-    convergence records, and a worker :class:`MetricsRegistry` delta —
-    for the parent to merge.  The payload never enters the row or the
-    cache, so tables stay byte-identical with or without observation.
-    """
-    weights = weights if weights is not None else CostWeights()
-    spans = SpanTracer()
-    spans.name_lane(spans.pid, f"sweep worker {os.getpid()}")
+    if obs is None:
+        problem = config.build_problem()
+        result = heuristic(
+            problem, weights=weights, seed=config.heuristic_seed()
+        )
+        return _cell_record(config, problem, result)
+    spans = obs.spans
     probe = ProgressProbe(sink=convergence_sink(spans))
-    metrics = MetricsRegistry()
-    heuristic = HEURISTICS[config.heuristic]
     with spans.span(
         "cell", fingerprint=config.fingerprint,
         heuristic=config.heuristic, seed=config.seed,
@@ -141,6 +124,7 @@ def run_cell_observed(
                 probe=probe,
             )
     name = config.heuristic
+    metrics = obs.metrics
     metrics.counter("sweep.worker.cells").inc()
     metrics.counter(f"heuristic.{name}.cells").inc()
     metrics.counter(f"heuristic.{name}.moves_evaluated").inc(
@@ -150,16 +134,19 @@ def run_cell_observed(
     metrics.histogram(f"heuristic.{name}.hw_tasks").observe(
         len(result.hw_tasks)
     )
-    record = _cell_record(config, problem, result)
     for rec in probe.records:  # make merged multi-cell streams separable
         rec.detail.setdefault("cell", config.fingerprint[:12])
-    obs = {
-        "pid": os.getpid(),
-        "spans": spans.snapshot(),
-        "probe": probe.to_dicts(),
-        "metrics": metrics.snapshot(),
-    }
-    return record, obs
+    obs.extra["probe"] = probe.to_dicts()
+    return _cell_record(config, problem, result)
+
+
+def run_cell_observed(
+    config: SweepConfig, weights: Optional[CostWeights] = None
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """``(row, worker observability payload)`` for one cell, exactly
+    as the ``sweep_observed`` runner returns them."""
+    obs = WorkerObservation("sweep")
+    return run_cell(config, weights, obs=obs), obs.payload()
 
 
 class SweepCellError(RuntimeError):
@@ -215,7 +202,6 @@ def run_sweep(
     cache: Optional[CampaignStore] = None,
     weights: Optional[CostWeights] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     span_tracer: Optional[SpanTracer] = None,
     probe: Optional[ProgressProbe] = None,
     recorder=None,
@@ -230,12 +216,13 @@ def run_sweep(
     the row repeated.  The returned table carries a
     :class:`SweepStats` as ``.stats``.
 
-    Attaching a ``span_tracer`` and/or ``probe`` switches cells to
-    :func:`run_cell_observed`: per-cell spans recorded inside the
-    workers are merged into the parent tracer on per-worker pid lanes,
-    convergence records land in the probe, and worker-side metric
-    deltas fold into ``metrics`` — counters read identically at any
-    worker count.  The row/cache content is unchanged either way.
+    Attaching a ``span_tracer`` and/or ``probe`` observes each cell
+    (:func:`run_cell` with a worker observation): per-cell spans
+    recorded inside the workers are merged into the parent tracer on
+    per-worker pid lanes, convergence records land in the probe, and
+    worker-side metric deltas fold into ``metrics`` — counters read
+    identically at any worker count.  The row/cache content is
+    unchanged either way.
 
     ``recorder`` arms the flight recorder (:mod:`repro.obs.live`):
     run marks and progress heartbeats stream to it while the sweep is
@@ -244,123 +231,41 @@ def run_sweep(
     rows, fingerprints, or the cache; the table is byte-identical
     with or without a recorder.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     configs = list(configs)
-    metrics = metrics if metrics is not None else (
-        tracer.metrics if tracer is not None else MetricsRegistry()
-    )
-    observed = span_tracer is not None or probe is not None
-    t0 = time.perf_counter()
-
-    if span_tracer is not None:
-        span_tracer.name_lane(span_tracer.pid, "sweep parent")
-        sweep_span = span_tracer.span("sweep", cells=len(configs),
-                                      workers=workers)
-        sweep_span.__enter__()
-    else:
-        sweep_span = None
-
-    rows: Dict[str, Dict[str, Any]] = {}
-    pending: List[SweepConfig] = []
-    stats = SweepStats(cells=len(configs), workers=workers)
-    metrics.counter("sweep.cells.total").inc(len(configs))
-    for config in configs:
-        fingerprint = config.fingerprint
-        if fingerprint in rows:
-            stats.duplicates += 1
-            continue
-        cached = cache.get(fingerprint) if cache is not None else None
-        if cached is not None:
-            rows[fingerprint] = cached
-            stats.cache_hits += 1
-            metrics.counter("sweep.cache.hits").inc()
-            if tracer is not None:
-                tracer.emit(SWEEP_CELL, fingerprint, time=0.0, cached=True,
-                            heuristic=config.heuristic)
-            if span_tracer is not None:
-                span_tracer.event("cache.hit", fingerprint=fingerprint,
-                                  heuristic=config.heuristic)
-        else:
-            # reserve the slot so a duplicate later in the grid is not
-            # submitted twice
-            rows[fingerprint] = {}
-            pending.append(config)
-            metrics.counter("sweep.cache.misses").inc()
-
-    #: without a store the parent sees every completion, so it emits
-    #: the run marks and heartbeats itself; a store hands the recorder
-    #: to the campaign service (coordinator and shard streams) instead
-    emitter = None
-    if recorder is not None and cache is None:
-        emitter = TelemetryEmitter(recorder, role="sweep")
-        emitter.emit("run", event="start", cells=len(configs),
-                     workers=workers)
-
-    def finish(fingerprint: str, record: Dict[str, Any],
-               timing: CellTiming,
-               obs: Optional[Dict[str, Any]]) -> None:
-        rows[fingerprint] = record
-        stats.computed += 1
-        if emitter is not None:
-            emitter.heartbeat(done=stats.computed + stats.cache_hits,
-                              cache_hits=stats.cache_hits,
-                              total=len(configs))
-        metrics.counter("sweep.cells.computed").inc()
-        metrics.histogram("sweep.cell.elapsed_s").observe(
-            timing.elapsed_s)
-        if timing.wait_s is not None:
-            metrics.histogram("sweep.cell.wait_s").observe(
-                timing.wait_s)
-        if tracer is not None:
-            tracer.emit(SWEEP_CELL, fingerprint, time=0.0,
-                        cached=False,
-                        heuristic=by_fingerprint[fingerprint].heuristic,
-                        elapsed_s=timing.elapsed_s)
-        if obs is not None and probe is not None:
-            probe.extend_from_dicts(obs["probe"])
-
-    by_fingerprint = {c.fingerprint: c for c in pending}
+    ledger = CellLedger("sweep", workers, store=cache, metrics=metrics,
+                        span_tracer=span_tracer, recorder=recorder,
+                        probe=probe, cells=len(configs))
+    ledger.metrics.counter("sweep.cells.total").inc(len(configs))
     weights_dict = (dataclasses.asdict(weights)
                     if weights is not None else None)
-    jobs = [(c.fingerprint,
-             {"config": c.to_dict(), "weights": weights_dict})
-            for c in pending]
-    try:
-        run_jobs("sweep", jobs, workers, finish, store=cache,
-                 metrics=metrics, span_tracer=span_tracer,
-                 recorder=recorder, observed=observed)
-    except (PoolJobError, CampaignCellError) as exc:
-        fingerprint = (exc.job[0] if isinstance(exc, PoolJobError)
-                       else min(exc.failures))
-        cause = exc.__cause__ or exc
-        raise SweepCellError(
-            fingerprint, by_fingerprint[fingerprint].heuristic,
-            {fp: r for fp, r in rows.items() if r}, cause,
-        ) from cause
-    finally:
-        # the fan-out must never leave the sweep span open or the
-        # reserved {} placeholder rows masquerading as results
-        if sweep_span is not None:
-            sweep_span.__exit__(*sys.exc_info())
+    with ledger:
+        for config in configs:
+            ledger.want(config.fingerprint,
+                        {"config": config.to_dict(),
+                         "weights": weights_dict},
+                        heuristic=config.heuristic)
+        try:
+            ledger.run()
+        except (PoolJobError, CampaignCellError) as exc:
+            fingerprint = (exc.job[0] if isinstance(exc, PoolJobError)
+                           else min(exc.failures))
+            heuristic = next(c.heuristic for c in configs
+                             if c.fingerprint == fingerprint)
+            cause = exc.__cause__ or exc
+            raise SweepCellError(
+                fingerprint, heuristic,
+                {fp: r for fp, r in ledger.records.items()
+                 if r is not None},
+                cause,
+            ) from cause
 
-    stats.elapsed_s = time.perf_counter() - t0
-    if emitter is not None:
-        # the final beat carries ``exiting`` so post-mortems read a
-        # completed run as exited, not dead (rate limiting would
-        # otherwise swallow it on short runs)
-        emitter.heartbeat(force=True, exiting=True,
-                          done=stats.computed + stats.cache_hits,
-                          cache_hits=stats.cache_hits,
-                          total=len(configs))
-        emitter.emit("run", event="finish",
-                     done=stats.computed + stats.cache_hits,
-                     computed=stats.computed,
-                     cache_hits=stats.cache_hits,
-                     elapsed_s=stats.elapsed_s)
-    table = SweepResult([rows[c.fingerprint] for c in configs])
-    table.stats = stats
-    if observed:
+    table = SweepResult([ledger.records[c.fingerprint] for c in configs])
+    table.stats = SweepStats(
+        cells=len(configs), computed=ledger.computed,
+        cache_hits=ledger.cache_hits, duplicates=ledger.duplicates,
+        workers=workers, elapsed_s=ledger.elapsed_s,
+    )
+    if span_tracer is not None or probe is not None:
         table.obs = {"span_tracer": span_tracer, "probe": probe,
-                     "metrics": metrics}
+                     "metrics": ledger.metrics}
     return table

@@ -85,6 +85,44 @@ class TestCacheClosure:
         assert "explore.genomes.computed" not in counters
         assert counters["explore.cache.hits"] > 0
 
+    def test_partly_warm_store_keeps_population_order(
+            self, tmp_path, monkeypatch):
+        """A store warmed by another search serves some genomes, the
+        fan-out computes the rest; rows still come in population
+        (first-request) order, so the bytes equal the cold run's."""
+        import dataclasses
+
+        from repro.explore import driver
+
+        spec = dataclasses.replace(SPEC_2D, heuristics=("greedy", "kl"),
+                                   ga_seed=2)
+        cold = explore(spec).to_json()
+        store = CampaignStore(tmp_path / "cache.sqlite")
+        explore(dataclasses.replace(spec, ga_seed=0), cache=store)
+
+        populations = []
+        for name in ("doe_population", "_breed"):
+            original = getattr(driver, name)
+
+            def recording(*args, _original=original, **kwargs):
+                populations.append(_original(*args, **kwargs))
+                return populations[-1]
+
+            monkeypatch.setattr(driver, name, recording)
+        warm = explore(spec, cache=store)
+        assert 0 < warm.stats.cache_hits < warm.stats.requested
+        assert warm.to_json() == cold
+
+        space = spec.space()
+        extra = {"problem": spec.problem.to_dict()}
+        order = []
+        for population in populations:
+            for genome in population:
+                fp = space.fingerprint(genome, extra=extra)
+                if fp not in order:
+                    order.append(fp)
+        assert [row["fingerprint"] for row in warm.rows] == order
+
     @pytest.mark.slow
     def test_store_mode_matches_cache_mode(self, tmp_path,
                                            baseline_json):

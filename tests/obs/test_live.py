@@ -10,6 +10,11 @@ contracts that make it safe to leave wired into production paths:
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +39,16 @@ GRID_KW = dict(generators=("layered",), n_tasks=(6,),
 
 EXPLORE_SPEC = ExploreSpec(population=4, generations=2, n_tasks=(8,),
                            heuristics=("greedy", "kl"))
+
+#: Appends padded samples to argv[1] until killed.
+APPENDER = """\
+import sys
+from repro.obs.live import JsonlRecorder, TelemetryEmitter
+
+emitter = TelemetryEmitter(JsonlRecorder(sys.argv[1]), owner="pid:victim")
+while True:
+    emitter.emit("heartbeat", pad="x" * 4096)
+"""
 
 
 class FakeClock:
@@ -153,6 +168,58 @@ class TestJsonlRecorder:
             fh.write('{"kind": "heartb')  # the torn last line
         samples = read_samples(path)
         assert [s.seq for s in samples] == [0, 1]
+
+    def test_resumed_recorder_does_not_glue_onto_a_torn_tail(
+            self, tmp_path):
+        path = tmp_path / "flight.jsonl"
+        recorder = JsonlRecorder(path)
+        recorder.record(make_sample(seq=0))
+        recorder.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "heartb')  # the dead process's last words
+        resumed = TelemetryEmitter(JsonlRecorder(path), owner="pid:2")
+        resumed.emit("run", event="resume")
+        resumed.recorder.close()
+        samples = read_samples(path)
+        assert [s.owner for s in samples] == ["pid:1", "pid:2"]
+        assert samples[-1].data == {"event": "resume"}
+
+    def test_sigkill_mid_append_loses_only_the_torn_line(self, tmp_path):
+        path = tmp_path / "flight.jsonl"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
+            else "")
+        victim = subprocess.Popen(
+            [sys.executable, "-c", APPENDER, str(path)], env=env,
+            start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.time() + 60
+            while time.time() < deadline and victim.poll() is None:
+                if path.exists() and path.stat().st_size > 64 * 1024:
+                    break
+                time.sleep(0.01)
+            os.killpg(victim.pid, signal.SIGKILL)
+        finally:
+            victim.wait(timeout=30)
+
+        complete = path.read_bytes().count(b"\n")
+        assert complete > 0, "the appender never wrote a line"
+        samples = read_samples(path)
+        assert [s.seq for s in samples] == list(range(complete))
+        assert all(s.owner == "pid:victim" for s in samples)
+
+        resumed = TelemetryEmitter(JsonlRecorder(path), owner="pid:2")
+        for seq in range(3):
+            resumed.emit("heartbeat", done=seq)
+        resumed.recorder.close()
+        after = read_samples(path)
+        assert after[:complete] == samples
+        assert [(s.owner, s.seq) for s in after[complete:]] == [
+            ("pid:2", 0), ("pid:2", 1), ("pid:2", 2)]
 
     def test_missing_file_reads_as_empty(self, tmp_path):
         assert read_samples(tmp_path / "nope.jsonl") == []

@@ -8,6 +8,7 @@ from repro.graph.generators import COST_MODELS, GENERATORS
 from repro.partition import HEURISTICS
 from repro.sweep import (
     SweepConfig,
+    SweepConfigError,
     expand_grid,
     graph_signature,
     parse_seed_spec,
@@ -60,6 +61,41 @@ class TestFingerprint:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(KeyError):
             SweepConfig.from_dict({"generator": "layered", "bogus": 1})
+
+    def test_from_dict_names_every_bad_field(self):
+        data = {**SweepConfig().to_dict(), "n_tasks": "12", "seed": True,
+                "bogus": 1}
+        del data["heuristic"]
+        with pytest.raises(SweepConfigError) as info:
+            SweepConfig.from_dict(data)
+        message = str(info.value)
+        assert "unknown config fields: ['bogus']" in message
+        assert "missing config fields: ['heuristic']" in message
+        assert "'n_tasks' must be int, got str '12'" in message
+        assert "'seed' must be int, got bool True" in message
+
+    def test_from_dict_rejects_a_missing_heuristic(self):
+        # a gap used to become the default greedy cell
+        data = SweepConfig(heuristic="kl").to_dict()
+        del data["heuristic"]
+        with pytest.raises(SweepConfigError, match="heuristic"):
+            SweepConfig.from_dict(data)
+
+    def test_from_dict_rejects_a_string_size(self):
+        data = {**SweepConfig().to_dict(), "n_tasks": "12"}
+        with pytest.raises(SweepConfigError, match="n_tasks"):
+            SweepConfig.from_dict(data)
+
+    def test_from_dict_accepts_none_and_int_factors(self):
+        data = {**SweepConfig().to_dict(), "deadline_factor": None,
+                "area_budget_factor": 1, "hw_parallelism": None}
+        config = SweepConfig.from_dict(data)
+        assert config.deadline_factor is None
+        assert config.area_budget_factor == 1
+
+    def test_from_dict_rejects_a_non_dict(self):
+        with pytest.raises(SweepConfigError, match="list"):
+            SweepConfig.from_dict([("generator", "layered")])
 
     def test_canonical_json_is_sorted(self):
         doc = json.loads(SweepConfig().canonical_json())

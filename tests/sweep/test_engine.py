@@ -14,7 +14,6 @@ import pytest
 
 from repro.campaign import CampaignStore, PoolJobError, pool_map
 from repro.cosim.metrics import MetricsRegistry
-from repro.cosim.trace import Tracer
 from repro.obs.spans import SpanTracer
 from repro.partition import HEURISTICS
 from repro.sweep import (
@@ -143,17 +142,18 @@ class TestCaching:
 class TestObservability:
     def test_tracer_records_cells(self, tmp_path):
         grid = small_grid(heuristics=("greedy",))
-        tracer = Tracer()
+        tracer = SpanTracer()
         cache = CampaignStore(tmp_path / "cache.sqlite")
-        run_sweep(grid, workers=1, cache=cache, tracer=tracer)
-        cells = tracer.records_of("sweep_cell")
+        run_sweep(grid, workers=1, cache=cache, span_tracer=tracer)
+        cells = tracer.spans_named("cell")
         assert len(cells) == len(grid)
-        assert all(r.data["cached"] is False for r in cells)
+        assert not [e for e in tracer.events if e.name == "cache.hit"]
 
-        warm_tracer = Tracer()
-        run_sweep(grid, workers=1, cache=cache, tracer=warm_tracer)
-        cells = warm_tracer.records_of("sweep_cell")
-        assert all(r.data["cached"] is True for r in cells)
+        warm_tracer = SpanTracer()
+        run_sweep(grid, workers=1, cache=cache, span_tracer=warm_tracer)
+        hits = [e for e in warm_tracer.events if e.name == "cache.hit"]
+        assert len(hits) == len(grid)
+        assert not warm_tracer.spans_named("cell")
 
     def test_stats_summary_text(self):
         table = run_sweep(small_grid(heuristics=("greedy",)), workers=1)
